@@ -387,7 +387,8 @@ def _dp_limit_default() -> int:
         try:
             return int(env)
         except ValueError:
-            pass
+            print(f"warning: LAMBDA_POWER_DP_LIMIT={env!r} is not an integer; "
+                  f"using the default {DEFAULT_DP_LIMIT}", file=sys.stderr)
     return DEFAULT_DP_LIMIT
 
 
@@ -628,6 +629,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact L(2,1)-labeling spans of power graphs of finite groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dp_limit = _dp_limit_default()
 
     p_lambda = sub.add_parser("lambda", help="compute the span of one group")
     p_lambda.add_argument("spec")
@@ -638,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     p_lambda.add_argument("--json", action="store_true")
     p_lambda.add_argument("--no-witness", action="store_true")
     p_lambda.add_argument("--budget-ms", type=int, default=None)
-    p_lambda.add_argument("--dp-limit", type=int, default=_dp_limit_default())
+    p_lambda.add_argument("--dp-limit", type=int, default=dp_limit)
     p_lambda.add_argument("--cache", default=None)
     p_lambda.set_defaults(func=cmd_lambda)
 
@@ -647,13 +649,13 @@ def main(argv: list[str] | None = None) -> int:
                                              "elementary-abelian", "zpqn"])
     p_verify.add_argument("range", nargs="?", default="")
     p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--dp-limit", type=int, default=_dp_limit_default())
+    p_verify.add_argument("--dp-limit", type=int, default=dp_limit)
     p_verify.set_defaults(func=cmd_verify)
 
     p_inv = sub.add_parser("invariants", help="structural probes for one group")
     p_inv.add_argument("spec")
     p_inv.add_argument("--json", action="store_true")
-    p_inv.add_argument("--dp-limit", type=int, default=_dp_limit_default())
+    p_inv.add_argument("--dp-limit", type=int, default=dp_limit)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_graph = sub.add_parser("graph", help="export the power graph")
@@ -663,10 +665,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p_enum = sub.add_parser("enumerate", help="sweep the built-in corpus")
     p_enum.add_argument("--max-order", type=int, default=16)
-    p_enum.add_argument("--dp-limit", type=int, default=_dp_limit_default())
+    p_enum.add_argument("--dp-limit", type=int, default=dp_limit)
     p_enum.set_defaults(func=cmd_enumerate)
 
     args = parser.parse_args(argv)
+    if getattr(args, "dp_limit", 0) < 0:
+        print(f"error: --dp-limit must be non-negative, got {args.dp_limit}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -9,7 +9,9 @@ certificates, never to conclude absence.
 
 from __future__ import annotations
 
+import math
 import time
+from array import array
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, InternalError
@@ -23,6 +25,7 @@ __all__ = [
     "DEFAULT_DP_LIMIT",
     "PathCover",
     "WitnessedValue",
+    "check_dp_limit",
     "clique_number",
     "cut_vertex_component_profile",
     "find_complement_p4",
@@ -113,17 +116,21 @@ def _induced_adjacency(graph: Graph, vertices: list[int]) -> list[int]:
     return rows
 
 
-def _rotation_heuristic(adj: list[int] | tuple[int, ...], m: int) -> list[int] | None:
+def _rotation_heuristic(adj: list[int] | tuple[int, ...], m: int,
+                        deadline: float | None = None) -> list[int] | None:
     """Greedy path growth with rotation extension; positive answers only."""
-    if m == 1:
-        return [0]
     budget = 4 * m * m + 16
+    ticks = 0
     for start in range(m):
         path = [start]
         inset = 1 << start
         steps = 0
         while len(path) < m and steps < budget:
             steps += 1
+            ticks += 1
+            if deadline is not None and (ticks & 1023) == 0 \
+                    and time.monotonic() > deadline:
+                raise CapacityExceeded("time budget exhausted during the Hamilton path heuristic")
             tail = path[-1]
             free = adj[tail] & ~inset
             if free:
@@ -134,86 +141,130 @@ def _rotation_heuristic(adj: list[int] | tuple[int, ...], m: int) -> list[int] |
             if adj[path[0]] & ~inset:
                 path.reverse()
                 continue
-            # Rotate: tail adjacent to path[i] makes path[i+1] the new tail.
-            rotated = False
-            for i in range(len(path) - 2):
-                if (adj[tail] >> path[i]) & 1 and adj[path[i + 1]] & ~inset:
-                    path[i + 1:] = reversed(path[i + 1:])
-                    rotated = True
-                    break
-            if not rotated:
-                for i in range(len(path) - 2):
-                    if (adj[tail] >> path[i]) & 1:
-                        path[i + 1:] = reversed(path[i + 1:])
-                        rotated = True
-                        break
-            if not rotated:
+            # Rotate: tail adjacent to path[i] makes path[i+1] the new tail,
+            # preferring a new tail that still has free neighbours.
+            pivots = [i for i in range(len(path) - 2) if (adj[tail] >> path[i]) & 1]
+            if not pivots:
                 break
+            i = next((i for i in pivots if adj[path[i + 1]] & ~inset), pivots[0])
+            path[i + 1:] = reversed(path[i + 1:])
         if len(path) == m:
             return path
     return None
 
 
-def _path_subset_table(adj: list[int] | tuple[int, ...], m: int,
-                       deadline: float | None = None) -> tuple[dict[int, int], int]:
-    """Reachable-subset table: mask -> bitmask of feasible path endpoints.
-
-    A mask appears as a key exactly when its induced subgraph admits a
-    Hamilton path. Stops early once the full vertex set is reached.
+def _twin_classes(adj: list[int] | tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
+    """Open-twin classes (equal adjacency rows), members ascending, and the
+    quotient adjacency. Twins are never adjacent: no quotient row has its own bit.
     """
-    full = (1 << m) - 1
-    table: dict[int, int] = {}
-    layer: dict[int, int] = {}
-    for v in range(m):
-        table[1 << v] = 1 << v
-        layer[1 << v] = 1 << v
-    if m == 1:
-        return table, 1
-    ticks = 0
-    while layer:
-        nxt: dict[int, int] = {}
-        for mask, ends in layer.items():
-            ticks += 1
-            if deadline is not None and (ticks & 4095) == 0 \
-                    and time.monotonic() > deadline:
-                raise CapacityExceeded("time budget exhausted during path table build")
-            e = ends
-            while e:
-                low = e & -e
-                e ^= low
-                v = low.bit_length() - 1
-                out = adj[v] & ~mask
-                while out:
-                    wlow = out & -out
-                    out ^= wlow
-                    key = mask | wlow
-                    nxt[key] = nxt.get(key, 0) | wlow
-        for mask, ends in nxt.items():
-            table[mask] = table.get(mask, 0) | ends
-        if full in table:
-            return table, table[full]
-        layer = nxt
-    return table, 0
+    number: dict[int, int] = {}
+    members: list[list[int]] = []
+    for v, row in enumerate(adj):
+        if row not in number:
+            number[row] = len(members)
+            members.append([])
+        members[number[row]].append(v)
+    qadj = []
+    for cls in members:
+        row = 0
+        for u in bits(adj[cls[0]]):
+            row |= 1 << number[adj[u]]
+        qadj.append(row)
+    return members, qadj
 
 
-def _reconstruct_path(table: dict[int, int], adj, mask: int, end_bit: int) -> list[int]:
-    seq = []
-    cur_bit = end_bit
-    while True:
-        cur = cur_bit.bit_length() - 1
-        seq.append(cur)
-        rest = mask ^ cur_bit
-        if not rest:
-            break
-        cands = table[rest] & adj[cur]
-        cur_bit = cands & -cands
-        mask = rest
-    seq.reverse()
-    return seq
+def _typecode(largest: int) -> str | None:
+    """The narrowest unsigned ``array`` typecode holding ``largest``."""
+    for code in "BHILQ":
+        if largest.bit_length() <= 8 * array(code).itemsize:
+            return code
+    return None
 
 
-def _verify_path(adj, path: list[int] | tuple[int, ...]) -> bool:
-    return all((adj[path[i]] >> path[i + 1]) & 1 for i in range(len(path) - 1))
+def _quotient_cover(adj: list[int] | tuple[int, ...], m: int, dp_limit: int,
+                    deadline: float | None = None) -> list[list[int]]:
+    """Minimum path cover of a connected graph on m >= 2 vertices, exact.
+
+    Open twins are interchangeable in any path, so the DP runs over r, the
+    members left per twin class, coded in mixed radix: ``best[r]`` is the
+    fewest further paths once a path starts in r, ``ends[r]`` the classes it
+    can start in to get there. After class c, r costs ``best[r]`` when c is
+    adjacent to a class of ``ends[r]``, else ``best[r] + 1`` (a new path).
+    Refuses, before allocating, when the states exceed ``2**dp_limit``.
+    """
+    members, qadj = _twin_classes(adj)
+    q = len(members)
+    weights = [len(cls) for cls in members]
+    strides = []
+    states = 1
+    for w in weights:
+        strides.append(states)
+        states *= w + 1
+    best_code, ends_code = _typecode(m), _typecode((1 << q) - 1)
+    if (states - 1).bit_length() > dp_limit or ends_code is None:
+        raise CapacityExceeded(
+            f"path-cover DP over {q} twin classes of {m} vertices needs "
+            f"2^{math.log2(states):.1f} states, over the limit 2^{dp_limit}"
+        )
+    best = array(best_code, [0]) * states
+    ends = array(ends_code, [0]) * states
+    # Nothing left: a path from any class ends at no cost. Every class of a
+    # connected graph has a neighbour, so every class meets this mask.
+    ends[0] = (1 << q) - 1
+    r = [0] * q
+    for code in range(1, states):
+        i = 0
+        while r[i] == weights[i]:
+            r[i] = 0
+            i += 1
+        r[i] += 1
+        if deadline is not None and (code & 4095) == 0 and time.monotonic() > deadline:
+            raise CapacityExceeded("time budget exhausted during the path-cover DP")
+        low, argmin, bit = m, 0, 1
+        for j in range(q):
+            if r[j]:
+                prev = code - strides[j]
+                cost = best[prev] + (0 if qadj[j] & ends[prev] else 1)
+                if cost < low:
+                    low, argmin = cost, bit
+                elif cost == low:
+                    argmin |= bit
+            bit <<= 1
+        best[code] = low
+        ends[code] = argmin
+    # Walk forward from r = w: extend into an optimal neighbouring class,
+    # else open a new path in an optimal class.
+    drawn = [0] * q
+    paths: list[list[int]] = []
+    code, cur = states - 1, None
+    while code:
+        options = ends[code] & qadj[cur] if cur is not None else 0
+        if not options:
+            options = ends[code]
+            paths.append([])
+        cur = (options & -options).bit_length() - 1
+        paths[-1].append(members[cur][drawn[cur]])
+        drawn[cur] += 1
+        code -= strides[cur]
+    return paths
+
+
+def _cover_component(adj: list[int] | tuple[int, ...], m: int, dp_limit: int,
+                     use_heuristic: bool, deadline: float | None) -> list[list[int]]:
+    """Minimum path cover of a connected graph on m >= 2 vertices: a Hamilton
+    path from the heuristic (a valid certificate) if it finds one, else the DP's.
+    """
+    found = _rotation_heuristic(adj, m, deadline) if use_heuristic else None
+    paths = [found] if found is not None else _quotient_cover(adj, m, dp_limit, deadline)
+    if not all((adj[a] >> b) & 1 for path in paths for a, b in zip(path, path[1:])):
+        raise InternalError("path cover engine produced an invalid path")
+    return paths
+
+
+def check_dp_limit(dp_limit: int) -> None:
+    """Reject a negative DP limit before any work is done."""
+    if dp_limit < 0:
+        raise ValueError(f"dp_limit must be non-negative, got {dp_limit}")
 
 
 def hamilton_path(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
@@ -221,9 +272,10 @@ def hamilton_path(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
                   deadline: float | None = None) -> tuple[int, ...] | None:
     """A Hamilton path of the graph, or None when provably absent.
 
-    Raises CapacityExceeded (inconclusive) when the graph is larger than the
-    subset-DP limit and the heuristic finds nothing.
+    Raises CapacityExceeded (inconclusive) when the heuristic finds nothing
+    and the quotient DP exceeds its state limit.
     """
+    check_dp_limit(dp_limit)
     n = graph.n
     if n == 0:
         return ()
@@ -231,55 +283,8 @@ def hamilton_path(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
         return (0,)
     if len(connected_components(graph)) > 1:
         return None
-    if use_heuristic:
-        found = _rotation_heuristic(graph.adj, n)
-        if found is not None:
-            if not _verify_path(graph.adj, found):
-                raise InternalError("heuristic produced an invalid path")
-            return tuple(found)
-    if n > dp_limit:
-        raise CapacityExceeded(
-            f"hamilton search needs {n} <= {dp_limit} vertices and the heuristic found no path"
-        )
-    table, full_ends = _path_subset_table(graph.adj, n, deadline)
-    if full_ends:
-        end = full_ends & -full_ends
-        return tuple(_reconstruct_path(table, graph.adj, graph.full_mask, end))
-    return None
-
-
-def _min_partition(table: dict[int, int], m: int,
-                   deadline: float | None = None) -> list[int]:
-    """Fewest path-feasible masks partitioning {0..m-1}; table keys are the masks."""
-    full = (1 << m) - 1
-    by_low: dict[int, list[int]] = {}
-    for mask in table:
-        by_low.setdefault(mask & -mask, []).append(mask)
-    for masks in by_low.values():
-        masks.sort(key=lambda s: (-s.bit_count(), s))
-    failed: dict[int, int] = {}  # mask -> largest part budget known infeasible
-
-    def attempt(mask: int, k: int) -> list[int] | None:
-        if not mask:
-            return []
-        if deadline is not None and time.monotonic() > deadline:
-            raise CapacityExceeded("time budget exhausted during partition search")
-        if k == 0 or failed.get(mask, 0) >= k:
-            return None
-        for cand in by_low[mask & -mask]:
-            if cand & ~mask:
-                continue
-            rest = attempt(mask ^ cand, k - 1)
-            if rest is not None:
-                return [cand, *rest]
-        failed[mask] = k
-        return None
-
-    for k in range(2, m + 1):  # k = 1 was already ruled out by the caller
-        parts = attempt(full, k)
-        if parts is not None:
-            return parts
-    raise InternalError("path partition search failed to terminate")
+    paths = _cover_component(graph.adj, n, dp_limit, use_heuristic, deadline)
+    return tuple(paths[0]) if len(paths) == 1 else None
 
 
 def _canonical_path(seq: list[int]) -> tuple[int, ...]:
@@ -293,11 +298,12 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
                       deadline: float | None = None) -> PathCover:
     """A minimum path cover of the graph, exact.
 
-    Isolated vertices each contribute a trivial path. On every remaining
-    component, a heuristic Hamilton path (a valid certificate) is tried
-    first; otherwise the reachable-subset table plus a minimum-partition
-    search settles the component exactly, provided it fits the DP limit.
+    Isolated vertices each contribute a trivial path; every other component
+    is settled by the heuristic or the quotient DP. On refusal the bounds
+    are sound: each component needs at least one path, and a connected
+    component of m >= 2 vertices at most m - 1 (one edge plus singletons).
     """
+    check_dp_limit(dp_limit)
     paths: list[tuple[int, ...]] = []
     components = connected_components(graph)
     for comp in components:
@@ -306,27 +312,15 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
             paths.append((comp[0],))
             continue
         local = _induced_adjacency(graph, comp)
-        if use_heuristic:
-            found = _rotation_heuristic(local, m)
-            if found is not None and _verify_path(local, found):
-                paths.append(_canonical_path([comp[i] for i in found]))
-                continue
-        if m > dp_limit:
-            greedy_upper = sum(1 if len(c) <= dp_limit else len(c) for c in components)
+        try:
+            found = _cover_component(local, m, dp_limit, use_heuristic, deadline)
+        except CapacityExceeded as exc:
             raise CapacityExceeded(
-                f"component of {m} vertices exceeds the DP limit {dp_limit}",
+                str(exc),
                 lower_bound=len(components),
-                upper_bound=greedy_upper,
-            )
-        table, full_ends = _path_subset_table(local, m, deadline)
-        if full_ends:
-            seq = _reconstruct_path(table, local, (1 << m) - 1, full_ends & -full_ends)
-            paths.append(_canonical_path([comp[i] for i in seq]))
-            continue
-        for part in _min_partition(table, m, deadline):
-            ends = table[part]
-            seq = _reconstruct_path(table, local, part, ends & -ends)
-            paths.append(_canonical_path([comp[i] for i in seq]))
+                upper_bound=sum(max(1, len(c) - 1) for c in components),
+            ) from exc
+        paths.extend(_canonical_path([comp[i] for i in seq]) for seq in found)
     paths.sort()
     return PathCover(tuple(paths))
 

@@ -25,6 +25,7 @@ from .groups import (
 from .invariants import (
     DEFAULT_CLIQUE_LIMIT,
     DEFAULT_DP_LIMIT,
+    check_dp_limit,
     clique_number,
     cut_vertex_component_profile,
     find_complement_p4,
@@ -257,6 +258,7 @@ def lambda_via_path_cover(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
     complement, the span is n - 1 when r = 1 and n + r - 2 otherwise; the
     witness walks the complement paths with one skipped label between paths.
     """
+    check_dp_limit(dp_limit)
     started = time.monotonic()
     n = graph.n
     if n == 0:
@@ -675,6 +677,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     """
     if method not in ("auto", "ledger", "pathcover", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
+    check_dp_limit(dp_limit)
     started = time.monotonic()
     deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
     graph = build_power_graph(g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityExceeded, InternalError
 from .groups import FiniteGroup, cyclic_subgroup, is_P_group, maximal_cyclic_subgroups
-from .invariants import DEFAULT_DP_LIMIT, hamilton_path
+from .invariants import DEFAULT_DP_LIMIT, check_dp_limit, hamilton_path
 from .powergraph import build_power_graph, complement, delete_vertex
 
 __all__ = [
@@ -214,6 +214,7 @@ class EqualityCheck:
 def check_lower_equality(g: FiniteGroup, lam: int,
                          dp_limit: int = DEFAULT_DP_LIMIT) -> EqualityCheck:
     """Check: span == |G| exactly when the punctured complement is traceable."""
+    check_dp_limit(dp_limit)
     graph = build_power_graph(g)
     reduced, survivors = delete_vertex(graph, graph.identity_vertex or 0)
     punctured = complement(reduced)

@@ -101,6 +101,20 @@ def test_cmd_lambda_parse_error_exit_code(capsys):
     assert "dihedral" in err
 
 
+def test_cmd_lambda_rejects_negative_dp_limit(capsys):
+    code, _, err = run(capsys, "lambda", "Z6", "--dp-limit", "-5")
+    assert code == 1
+    assert "--dp-limit" in err
+
+
+def test_non_integer_dp_limit_environment_warns(capsys, monkeypatch):
+    monkeypatch.setenv("LAMBDA_POWER_DP_LIMIT", "abc")
+    code, out, err = run(capsys, "lambda", "Z6", "--json")
+    assert code == 0
+    assert json.loads(out)["lambda"] == 8
+    assert "LAMBDA_POWER_DP_LIMIT" in err
+
+
 def test_cmd_lambda_inexact_exit_code(capsys):
     code, out, _ = run(capsys, "lambda", "Q8", "--method", "ledger", "--json")
     assert code == 2

@@ -1,5 +1,7 @@
 """Clique, independence, Hamilton path, path cover and structural probes."""
 
+import time
+
 import pytest
 
 from oracles import brute_hamilton_exists, brute_max_clique, brute_path_cover_count
@@ -118,12 +120,28 @@ def test_hamilton_agrees_with_brute_force():
         assert (path is not None) == brute_hamilton_exists(graph)
 
 
+def star(leaves, offset=0):
+    return [(offset, offset + v) for v in range(1, leaves + 1)]
+
+
+def spider(legs):
+    """A center with ``legs`` paths of two edges: twin-free, no Hamilton path."""
+    edges = []
+    for i in range(1, legs + 1):
+        edges += [(0, i), (i, legs + i)]
+    return Graph.from_edges(2 * legs + 1, edges)
+
+
+def test_hamilton_on_star_is_solved_through_twins():
+    # K1,29: the leaves are twins, so the quotient has 2 classes and 60 states
+    graph = Graph.from_edges(30, star(29))
+    assert hamilton_path(graph, dp_limit=24) is None
+
+
 def test_hamilton_capacity_when_heuristic_fails():
-    # two large stars joined at the center cannot be found by the heuristic
-    edges = [(0, v) for v in range(1, 30)]
-    graph = Graph.from_edges(30, edges)
+    # the heuristic misses, and 59 twin-free vertices exceed 2^24 DP states
     with pytest.raises(CapacityExceeded):
-        hamilton_path(graph, dp_limit=24)
+        hamilton_path(spider(29), dp_limit=24)
 
 
 def test_path_cover_empty_graph_on_four():
@@ -164,12 +182,43 @@ def test_path_cover_at_least_component_count():
         assert cover.count >= len(connected_components(graph))
 
 
+def test_path_cover_of_star_is_solved_through_twins():
+    graph = Graph.from_edges(30, star(29))
+    cover = path_cover_number(graph, dp_limit=24)
+    assert cover.count == 28
+    assert_cover_valid(graph, cover)
+
+
 def test_path_cover_capacity():
-    edges = [(0, v) for v in range(1, 30)]
-    graph = Graph.from_edges(30, edges)
     with pytest.raises(CapacityExceeded) as info:
-        path_cover_number(graph, dp_limit=24)
+        path_cover_number(spider(29), dp_limit=24)
     assert info.value.lower_bound is not None
+
+
+def test_path_cover_refusal_bounds_are_sound():
+    # a 13-vertex spider (cover 5, 2^13 states, refused) plus three K1,5
+    # (cover 4 each, solved): counting each small star as one path would
+    # give an upper bound of 13 + 3 = 16 below the true cover 17
+    edges = spider(6).edges() + star(5, 13) + star(5, 19) + star(5, 25)
+    with pytest.raises(CapacityExceeded) as info:
+        path_cover_number(Graph.from_edges(31, edges), dp_limit=10)
+    assert info.value.lower_bound <= 5 + 3 * 4 <= info.value.upper_bound
+
+
+def test_deadline_reaches_the_heuristic():
+    # Z2xZ2xZ5's complement: the heuristic misses after thousands of steps
+    group = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(5))
+    graph = complement(pg(group))
+    with pytest.raises(CapacityExceeded, match="heuristic"):
+        path_cover_number(graph, deadline=time.monotonic() - 1.0)
+
+
+def test_negative_dp_limit_is_rejected():
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        path_cover_number(graph, dp_limit=-5)
+    with pytest.raises(ValueError):
+        hamilton_path(graph, dp_limit=-1)
 
 
 def test_path_cover_deterministic():

@@ -348,6 +348,40 @@ def test_lambda_exact_unpinned_ledger_method_is_inexact():
     assert report.bounds
 
 
+@pytest.mark.parametrize("n, span", [(30, 40), (36, 52), (40, 64), (42, 60), (44, 80), (45, 72)])
+def test_cyclic_spans_settled_by_the_path_cover(n, span):
+    # each value meets the clique lower bound, so the validated witness certifies it
+    g = make_cyclic(n)
+    report = lambda_exact(g)
+    assert report.exact and report.value == span
+    clique = next(b for b in report.bounds if b.source == "clique")
+    assert clique.value == span
+    assert validate_l21(pg(g), report.labeling).ok
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_klein_times_prime_span(p):
+    # In the complement of the power graph of Z2xZ2xZp (n = 4p) the identity is
+    # isolated and the p - 1 elements of order p are adjacent only to the 3
+    # involutions. In a path cover those p - 1 vertices need 2(p - 1) path
+    # edges but the involutions offer at most 6, so at least 2(p - 1) - 6
+    # path ends sit on them; when all 6 are used the involutions are
+    # saturated and the 3(p - 1) elements of order 2p need a path of their
+    # own. Either way the non-identity vertices need p - 3 paths, the cover
+    # p - 2, and the span is n + (p - 2) - 2 = 5p - 4.
+    g = direct_product(klein(), make_cyclic(p))
+    report = lambda_exact(g)
+    assert report.exact and report.value == 5 * p - 4
+    assert validate_l21(pg(g), report.labeling).ok
+
+
+def test_negative_dp_limit_is_rejected_before_any_work():
+    with pytest.raises(ValueError):
+        lambda_exact(make_cyclic(6), dp_limit=-1)
+    with pytest.raises(ValueError):
+        lambda_via_path_cover(pg(make_cyclic(6)), dp_limit=-1)
+
+
 def test_verification_error_type_exists():
     # VerificationError carries the disagreeing values mapping
     err = VerificationError("boom", values={"a": 1, "b": 2})

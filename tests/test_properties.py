@@ -76,6 +76,39 @@ def test_path_cover_matches_brute(graph):
     assert cover.count >= len(connected_components(graph))
 
 
+@st.composite
+def twin_blow_ups(draw, max_n=10):
+    """A quotient graph on at most 5 nodes, each blown up into 1-3 open twins."""
+    q = draw(st.integers(min_value=1, max_value=5))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=q, max_size=q)
+                 .filter(lambda ws: sum(ws) <= max_n))
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    linked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    node_of = draw(st.permutations([i for i, w in enumerate(sizes) for _ in range(w)]))
+    quotient = {pair for pair, on in zip(pairs, linked) if on}
+    n = len(node_of)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if tuple(sorted((node_of[u], node_of[v]))) in quotient]
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_blow_ups())
+def test_quotient_engine_matches_brute_on_twin_blow_ups(graph):
+    cover = path_cover_number(graph, use_heuristic=False)
+    seen = []
+    for path in cover.paths:
+        seen.extend(path)
+        assert all(graph.adjacent(a, b) for a, b in zip(path, path[1:]))
+    assert sorted(seen) == list(range(graph.n))
+    assert cover.count == brute_path_cover_count(graph)
+    path = hamilton_path(graph, use_heuristic=False)
+    assert (path is not None) == brute_hamilton_exists(graph)
+    if path is not None:
+        assert sorted(path) == list(range(graph.n))
+        assert all(graph.adjacent(a, b) for a, b in zip(path, path[1:]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=5))
 def test_backtrack_matches_brute(graph):
