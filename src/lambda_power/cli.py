@@ -17,14 +17,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import CapacityExceeded, GroupSpecError, VerificationError
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
-    direct_product,
-    from_permutations,
+    GroupDescriptor,
+    from_descriptor,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -53,7 +52,6 @@ from .powergraph import build_power_graph, complement
 A5_CYCLES = (((1, 2, 3, 4, 5),), ((1, 2, 3),))
 
 __all__ = [
-    "GroupSpec",
     "build_group",
     "builtin_corpus",
     "canonical_spec",
@@ -65,37 +63,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Group spec mini-language
 
-
-@dataclass(frozen=True)
-class _Cyclic:
-    n: int
-
-
-@dataclass(frozen=True)
-class _Dihedral:
-    order: int
-
-
-@dataclass(frozen=True)
-class _Quaternion:
-    order: int
-
-
-@dataclass(frozen=True)
-class _Permutation:
-    generators: tuple[tuple[tuple[int, ...], ...], ...]  # cycles per generator
-    alias: str | None = None
-
-
-@dataclass(frozen=True)
-class _Product:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    text: str
-    root: object
+_ATOM_FAMILIES = {"Z": "cyclic", "C": "cyclic", "D": "dihedral", "Q": "quaternion"}
 
 
 class _Parser:
@@ -126,51 +94,43 @@ class _Parser:
             raise GroupSpecError("expected an integer", start)
         return int(self.text[start:self.pos])
 
-    def parse(self) -> GroupSpec:
-        factors = [self._atom()]
+    def parse(self) -> GroupDescriptor:
+        descriptor = self._atom()
         while self._peek() == "x":
             self.pos += 1
-            factors.append(self._atom())
+            descriptor = GroupDescriptor.product(descriptor, self._atom())
         self._skip_ws()
         if self.pos != len(self.text):
             raise GroupSpecError("unexpected trailing input", self.pos)
-        root = factors[0] if len(factors) == 1 else _Product(tuple(factors))
-        return GroupSpec(self.text, root)
+        return descriptor
 
-    def _atom(self):
+    def _atom(self) -> GroupDescriptor:
         head = self._peek()
         at = self.pos
-        if head in ("Z", "C"):
-            self.pos += 1
-            n = self._int()
-            if n < 1:
-                raise GroupSpecError("cyclic order must be positive", at)
-            return _Cyclic(n)
-        if head == "D":
+        family = _ATOM_FAMILIES.get(head)
+        if family is not None:
             self.pos += 1
             m = self._int()
-            if m < 6 or m % 2 != 0:
+            if family == "cyclic" and m < 1:
+                raise GroupSpecError("cyclic order must be positive", at)
+            if family == "dihedral" and (m < 6 or m % 2 != 0):
                 raise GroupSpecError(
                     f"dihedral order must be even and at least 6, got {m}", at)
-            return _Dihedral(m)
-        if head == "Q":
-            self.pos += 1
-            m = self._int()
-            if m < 8 or m % 4 != 0:
+            if family == "quaternion" and (m < 8 or m % 4 != 0):
                 raise GroupSpecError(
                     f"generalized quaternion order must be a multiple of 4, at least 8, got {m}",
                     at)
-            return _Quaternion(m)
+            return GroupDescriptor.atom(family, m)
         if head == "A":
             self._expect("A5")
-            return _Permutation(A5_CYCLES, alias="A5")
+            return _permutation_descriptor(A5_CYCLES, at, alias="A5")
         if head == "p":
             self._expect("perm:")
             generators = [self._cycles()]
             while self._peek() == ";":
                 self.pos += 1
                 generators.append(self._cycles())
-            return _Permutation(tuple(generators))
+            return _permutation_descriptor(generators, at)
         raise GroupSpecError("expected a group atom (Z, C, D, Q, A5 or perm:)", at)
 
     def _cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -188,60 +148,26 @@ class _Parser:
         return tuple(cycles)
 
 
-def parse_group_spec(text: str) -> GroupSpec:
+def _permutation_descriptor(generators, at: int, alias: str | None = None) -> GroupDescriptor:
+    try:
+        images = [permutation_from_cycles(cycles) for cycles in generators]
+    except ValueError as exc:
+        raise GroupSpecError(str(exc), at) from None
+    return GroupDescriptor.permutation(images, alias)
+
+
+def parse_group_spec(text: str) -> GroupDescriptor:
     """Parse a group spec string; raises GroupSpecError with a position."""
     return _Parser(text).parse()
 
 
-def canonical_spec(spec: GroupSpec) -> str:
-    return _print_node(spec.root)
+def canonical_spec(descriptor: GroupDescriptor) -> str:
+    return descriptor.name
 
 
-def _print_node(node) -> str:
-    if isinstance(node, _Cyclic):
-        return f"Z{node.n}"
-    if isinstance(node, _Dihedral):
-        return f"D{node.order}"
-    if isinstance(node, _Quaternion):
-        return f"Q{node.order}"
-    if isinstance(node, _Permutation):
-        if node.alias:
-            return node.alias
-        parts = []
-        for cycles in node.generators:
-            nontrivial = [c for c in cycles if len(c) > 1]
-            if nontrivial:
-                parts.append("".join(
-                    "(" + " ".join(map(str, c)) + ")" for c in nontrivial))
-        return "perm:" + ";".join(parts) if parts else "Z1"
-    if isinstance(node, _Product):
-        return "x".join(_print_node(f) for f in node.factors)
-    raise TypeError(f"unknown spec node {node!r}")
-
-
-def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    return _build_node(spec.root, max_order)
-
-
-def _build_node(node, max_order: int) -> FiniteGroup:
-    if isinstance(node, _Cyclic):
-        return make_cyclic(node.n, max_order=max_order)
-    if isinstance(node, _Dihedral):
-        return make_dihedral(node.order, max_order=max_order)
-    if isinstance(node, _Quaternion):
-        return make_generalized_quaternion(node.order, max_order=max_order)
-    if isinstance(node, _Permutation):
-        images = [permutation_from_cycles(cycles) for cycles in node.generators]
-        domain = max((len(p) for p in images), default=1)
-        padded = [tuple(p) + tuple(range(len(p) + 1, domain + 1)) for p in images]
-        return from_permutations(padded, max_order=max_order, alias=node.alias)
-    if isinstance(node, _Product):
-        group = _build_node(node.factors[0], max_order)
-        for factor in node.factors[1:]:
-            group = direct_product(group, _build_node(factor, max_order),
-                                   max_order=max_order)
-        return group
-    raise TypeError(f"unknown spec node {node!r}")
+def build_group(descriptor: GroupDescriptor, *,
+                max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    return from_descriptor(descriptor, max_order=max_order)
 
 
 def group_from_text(text: str, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -312,6 +238,11 @@ def builtin_corpus(max_order: int) -> list[tuple[str, FiniteGroup]]:
 # Serialization
 
 
+def _bounds_to_list(bounds) -> list[dict]:
+    return [{"kind": b.kind, "value": b.value, "source": b.source, "exact": b.exact}
+            for b in bounds]
+
+
 def report_to_dict(report: LambdaReport) -> dict:
     return {
         "group": report.group,
@@ -319,10 +250,7 @@ def report_to_dict(report: LambdaReport) -> dict:
         "lambda": report.value,
         "exact": report.exact,
         "method": report.method,
-        "bounds": [
-            {"kind": b.kind, "value": b.value, "source": b.source, "exact": b.exact}
-            for b in report.bounds
-        ],
+        "bounds": _bounds_to_list(report.bounds),
         "labeling": list(report.labeling.labels) if report.labeling else None,
         "oracle": (
             {"value": report.oracle.value, "source": report.oracle.source}
@@ -335,39 +263,59 @@ def report_to_dict(report: LambdaReport) -> dict:
     }
 
 
-def _print_report(report: LambdaReport, stream) -> None:
-    value = report.value if report.value is not None else "unknown"
-    print(f"group      {report.group}", file=stream)
-    print(f"order      {report.order}", file=stream)
-    print(f"lambda     {value}{'' if report.exact else ' (inexact)'}", file=stream)
-    print(f"method     {report.method}", file=stream)
-    for bound in report.bounds:
-        marker = "" if bound.exact else "  [inexact]"
-        print(f"  {bound.kind:<5} {bound.value:>6}  {bound.source}{marker}", file=stream)
-    if report.oracle is not None and report.oracle.value is not None:
-        print(f"oracle     {report.oracle.value} via {report.oracle.source}", file=stream)
-        print(f"agreement  {report.agreement}", file=stream)
-    if report.labeling is not None:
-        print(f"labeling   {list(report.labeling.labels)}", file=stream)
-    for note in report.notes:
-        print(f"note       {note}", file=stream)
-    print(f"runtime    {report.runtime_ms} ms", file=stream)
+def _print_report(payload: dict, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(payload, indent=2))
+        return
+    value = payload["lambda"] if payload["lambda"] is not None else "unknown"
+    print(f"group      {payload['group']}")
+    print(f"order      {payload['order']}")
+    print(f"lambda     {value}{'' if payload['exact'] else ' (inexact)'}")
+    print(f"method     {payload['method']}")
+    for bound in payload["bounds"]:
+        marker = "" if bound["exact"] else "  [inexact]"
+        print(f"  {bound['kind']:<5} {bound['value']:>6}  {bound['source']}{marker}")
+    oracle = payload["oracle"]
+    if oracle is not None and oracle["value"] is not None:
+        print(f"oracle     {oracle['value']} via {oracle['source']}")
+        print(f"agreement  {payload['agreement']}")
+    if payload["labeling"] is not None:
+        print(f"labeling   {payload['labeling']}")
+    for note in payload["notes"]:
+        print(f"note       {note}")
+    print(f"runtime    {payload['runtime_ms']} ms")
 
 
 class _Cache:
-    """Append-only JSON-lines result cache keyed by spec, method and limits."""
+    """Append-only JSON-lines result cache keyed by spec, method and limits.
+
+    A line that is not a ``{"key": ..., "report": {...}}`` record is skipped
+    with a warning on stderr.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self.entries: dict[str, dict] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self.entries[record["key"]] = record["report"]
+        self.needs_newline = False
+        if not os.path.exists(path):
+            return
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        self.needs_newline = bool(text) and not text.endswith("\n")
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                key, report = record["key"], record["report"]
+                valid = isinstance(key, str) and isinstance(report, dict)
+            except (ValueError, KeyError, TypeError):
+                valid = False
+            if not valid:
+                print(f"warning: {path}:{number}: skipping corrupt cache line",
+                      file=sys.stderr)
+                continue
+            self.entries[key] = report
 
     def get(self, key: str) -> dict | None:
         return self.entries.get(key)
@@ -377,7 +325,10 @@ class _Cache:
             return
         self.entries[key] = report
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": key, "report": report}, sort_keys=True))
+            if self.needs_newline:  # do not extend a truncated last line
+                handle.write("\n")
+                self.needs_newline = False
+            handle.write(json.dumps({"key": key, "report": report}))
             handle.write("\n")
 
 
@@ -396,27 +347,31 @@ def _dp_limit_default() -> int:
 # Commands
 
 
-def cmd_lambda(args) -> int:
+def _load_group(text: str) -> FiniteGroup | None:
+    """The group a spec names, or None after an ``error:`` line on stderr."""
     try:
-        spec = parse_group_spec(args.spec)
-        group = build_group(spec)
-    except (GroupSpecError, ValueError, CapacityExceeded) as exc:
+        return build_group(parse_group_spec(text))
+    except (ValueError, CapacityExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_lambda(args) -> int:
+    group = _load_group(args.spec)
+    if group is None:
         return 1
-    name = canonical_spec(spec)
     cache = _Cache(args.cache) if args.cache else None
-    cache_key = (f"{name}|method={args.method}|dp={args.dp_limit}"
+    cache_key = (f"{group.descriptor.name}|method={args.method}|dp={args.dp_limit}"
                  f"|verify={args.verify}|witness={not args.no_witness}")
     if cache is not None:
         hit = cache.get(cache_key)
         if hit is not None:
-            _emit_lambda(hit, args)
+            _print_report(hit, args.json)
             return 0 if hit["exact"] else 2
     try:
         report = lambda_exact(
             group,
-            method={"auto": "auto", "ledger": "ledger", "pathcover": "pathcover",
-                    "backtrack": "backtrack"}[args.method],
+            method=args.method,
             verify=args.verify,
             dp_limit=args.dp_limit,
             with_witness=not args.no_witness,
@@ -426,70 +381,68 @@ def cmd_lambda(args) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     payload = report_to_dict(report)
-    payload["group"] = name
     if cache is not None and report.exact:
         cache.put(cache_key, payload)
-    _emit_lambda(payload, args, report=report)
+    _print_report(payload, args.json)
     return 0 if report.exact else 2
-
-
-def _emit_lambda(payload: dict, args, report: LambdaReport | None = None) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    elif report is not None:
-        _print_report(report, sys.stdout)
-    else:
-        for key in ("group", "order", "lambda", "method"):
-            print(f"{key:<10} {payload[key]}")
 
 
 def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
     if not text:
         return default
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"range must be N or LO..HI, got {text!r}") from None
 
 
 _ZPQN_CASES = ((2, 3, 1), (3, 2, 1), (2, 3, 2), (3, 2, 2), (2, 5, 1), (5, 2, 1))
+_RANGE_FAMILIES = {  # spec prefix, order step, default range
+    "dihedral": ("D", 2, (3, 8)),
+    "quaternion": ("Q", 4, (2, 5)),
+    "cyclic": ("Z", 1, (2, 20)),
+}
+
+
+def _family_specs(family: str, range_text: str) -> list[str]:
+    if family == "zpqn":
+        return [f"Z{p * q ** n}" for p, q, n in _ZPQN_CASES]
+    if family == "elementary-abelian":
+        lo, hi = _parse_range(range_text, (4, 16))
+        found = []
+        for p in (2, 3, 5, 7, 11, 13):
+            power, exponent = p * p, 2
+            while power <= hi:
+                if power >= lo:
+                    found.append((power, "x".join([f"Z{p}"] * exponent)))
+                power *= p
+                exponent += 1
+        return [spec for _, spec in sorted(found)]
+    if family not in _RANGE_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    prefix, step, default = _RANGE_FAMILIES[family]
+    lo, hi = _parse_range(range_text, default)
+    return [f"{prefix}{step * k}" for k in range(lo, hi + 1)]
 
 
 def cmd_verify(args) -> int:
-    family = args.family
-    instances: list[str] = []
-    if family == "dihedral":
-        lo, hi = _parse_range(args.range, (3, 8))
-        instances = [f"D{2 * k}" for k in range(lo, hi + 1)]
-    elif family == "quaternion":
-        lo, hi = _parse_range(args.range, (2, 5))
-        instances = [f"Q{4 * k}" for k in range(lo, hi + 1)]
-    elif family == "cyclic":
-        lo, hi = _parse_range(args.range, (2, 20))
-        instances = [f"Z{n}" for n in range(lo, hi + 1)]
-    elif family == "elementary-abelian":
-        lo, hi = _parse_range(args.range, (4, 16))
-        for p in (2, 3, 5, 7, 11, 13):
-            power = p * p
-            exponent = 2
-            while power <= hi:
-                if power >= lo:
-                    instances.append("x".join([f"Z{p}"] * exponent))
-                power *= p
-                exponent += 1
-        instances.sort(key=lambda s: (group_from_text(s).order, s))
-    elif family == "zpqn":
-        instances = [f"Z{p * q ** n}" for p, q, n in _ZPQN_CASES]
-    else:
-        print(f"error: unknown family {family!r}", file=sys.stderr)
+    try:
+        descriptors = [parse_group_spec(text)
+                       for text in _family_specs(args.family, args.range)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     print("spec,order,lambda_solver,lambda_oracle,source,match")
     all_match = True
     failed = False
-    for text in instances:
-        group = group_from_text(text)
+    for descriptor in descriptors:
+        try:
+            group = build_group(descriptor)
+        except CapacityExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         prediction = predict_lambda(group)
         try:
             report = lambda_exact(group, dp_limit=args.dp_limit)
@@ -497,31 +450,24 @@ def cmd_verify(args) -> int:
         except CapacityExceeded:
             solver = None
         if solver is None:
-            print(f"{text},{group.order},,"
-                  f"{prediction.value if prediction.value is not None else ''},"
-                  f"{prediction.source or ''},skipped")
-            if args.strict:
-                failed = True
-            continue
-        match = prediction.value is None or prediction.value == solver
-        all_match = all_match and match
-        print(f"{text},{group.order},{solver},"
-              f"{prediction.value if prediction.value is not None else ''},"
-              f"{prediction.source or ''},{'yes' if match else 'NO'}")
-    if failed or not all_match:
-        return 3 if not all_match else 2
-    return 0
+            status = "skipped"
+            failed = failed or args.strict
+        else:
+            match = prediction.value is None or prediction.value == solver
+            all_match = all_match and match
+            status = "yes" if match else "NO"
+        fields = (descriptor.name, group.order, solver, prediction.value,
+                  prediction.source, status)
+        print(",".join("" if f is None else str(f) for f in fields))
+    return 3 if not all_match else 2 if failed else 0
 
 
 def cmd_invariants(args) -> int:
-    try:
-        spec = parse_group_spec(args.spec)
-        group = build_group(spec)
-    except (GroupSpecError, ValueError, CapacityExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    group = _load_group(args.spec)
+    if group is None:
         return 1
     graph = build_power_graph(group)
-    payload: dict[str, object] = {"group": canonical_spec(spec), "order": group.order}
+    payload: dict[str, object] = {"group": group.descriptor.name, "order": group.order}
     try:
         payload["clique_number"] = clique_number(graph).value
     except CapacityExceeded:
@@ -542,10 +488,7 @@ def cmd_invariants(args) -> int:
         "pairwise_trivial": trivially_meeting, "balanced_sizes": balanced}
     p4 = find_complement_p4(graph)
     payload["complement_p4"] = list(p4) if p4 else None
-    payload["bounds"] = [
-        {"kind": b.kind, "value": b.value, "source": b.source, "exact": b.exact}
-        for b in bound_ledger(group, graph)
-    ]
+    payload["bounds"] = _bounds_to_list(bound_ledger(group, graph))
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -555,11 +498,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        spec = parse_group_spec(args.spec)
-        group = build_group(spec)
-    except (GroupSpecError, ValueError, CapacityExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    group = _load_group(args.spec)
+    if group is None:
         return 1
     graph = build_power_graph(group)
     edges = graph.edges()
@@ -574,8 +514,7 @@ def cmd_graph(args) -> int:
         for u, v in edges:
             print(f"{u},{v}")
     elif args.format == "dot":
-        name = canonical_spec(spec)
-        print(f'graph "{name}" {{')
+        print(f'graph "{group.descriptor.name}" {{')
         for v in range(graph.n):
             print(f'  {v} [label="{v} (ord {group.orders[v]})"];')
         for u, v in edges:

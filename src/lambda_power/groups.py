@@ -28,8 +28,10 @@ __all__ = [
     "cyclic_subgroup",
     "direct_product",
     "element_order",
+    "from_descriptor",
     "from_permutations",
     "is_P_group",
+    "is_prime",
     "make_cyclic",
     "make_dihedral",
     "make_generalized_quaternion",
@@ -48,6 +50,29 @@ class GroupDescriptor:
 
     def __str__(self) -> str:
         return self.name
+
+    @classmethod
+    def atom(cls, family: str, order: int) -> GroupDescriptor:
+        """A cyclic, dihedral or quaternion family member of the given order."""
+        return cls(family, (order,), f"{_ATOM_PREFIX[family]}{order}")
+
+    @classmethod
+    def product(cls, left: GroupDescriptor, right: GroupDescriptor) -> GroupDescriptor:
+        return cls("product", (left, right), f"{left.name}x{right.name}")
+
+    @classmethod
+    def permutation(cls, generators: Sequence[Sequence[int]],
+                    alias: str | None = None) -> GroupDescriptor:
+        """Generators as 1-based images, padded with fixed points to one domain."""
+        domain = max((len(p) for p in generators), default=1)
+        padded = tuple(tuple(p) + tuple(range(len(p) + 1, domain + 1)) for p in generators)
+        for images in padded:
+            if sorted(images) != list(range(1, domain + 1)):
+                raise ValueError(f"not a permutation of 1..{domain}: {images}")
+        return cls("permutation", padded, alias or canonical_permutation_name(padded))
+
+
+_ATOM_PREFIX = {"cyclic": "Z", "dihedral": "D", "quaternion": "Q"}
 
 
 @dataclass(frozen=True)
@@ -179,7 +204,7 @@ def make_cyclic(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         raise ValueError("cyclic group order must be a positive integer")
     _check_capacity(n, max_order)
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return _finalize(table, GroupDescriptor("cyclic", (n,), f"Z{n}"))
+    return _finalize(table, GroupDescriptor.atom("cyclic", n))
 
 
 def make_dihedral(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -205,7 +230,7 @@ def make_dihedral(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         return (ui - vi) % k
 
     table = tuple(tuple(mul(u, v) for v in range(m)) for u in range(m))
-    return _finalize(table, GroupDescriptor("dihedral", (m,), f"D{m}"))
+    return _finalize(table, GroupDescriptor.atom("dihedral", m))
 
 
 def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -233,7 +258,7 @@ def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -
         return (ui - vi + k) % nn  # (x^a y)(x^b y) = x^(a-b) y^2 = x^(a-b+k)
 
     table = tuple(tuple(mul(u, v) for v in range(m)) for u in range(m))
-    return _finalize(table, GroupDescriptor("quaternion", (m,), f"Q{m}"))
+    return _finalize(table, GroupDescriptor.atom("quaternion", m))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, *,
@@ -246,9 +271,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *,
         tuple(g.table[a1][a2] * hn + h.table[b1][b2] for a2 in range(g.order) for b2 in range(hn))
         for a1 in range(g.order) for b1 in range(hn)
     )
-    name = f"{g.descriptor.name}x{h.descriptor.name}"
-    descriptor = GroupDescriptor("product", (g.descriptor, h.descriptor), name)
-    return _finalize(table, descriptor)
+    return _finalize(table, GroupDescriptor.product(g.descriptor, h.descriptor))
 
 
 def permutation_from_cycles(cycles: Sequence[Sequence[int]],
@@ -308,13 +331,9 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
     Elements are enumerated breadth-first from the identity, multiplying by
     the generators in the order given, so indexing is deterministic.
     """
-    domain = max((len(p) for p in generators), default=1)
-    gens: list[tuple[int, ...]] = []
-    for images in generators:
-        padded = tuple(images) + tuple(range(len(images) + 1, domain + 1))
-        if sorted(padded) != list(range(1, domain + 1)):
-            raise ValueError(f"not a permutation of 1..{domain}: {tuple(images)}")
-        gens.append(tuple(v - 1 for v in padded))  # 0-based internally
+    descriptor = GroupDescriptor.permutation(generators, alias)
+    domain = len(descriptor.params[0]) if descriptor.params else 1
+    gens = [tuple(v - 1 for v in images) for images in descriptor.params]  # 0-based
 
     identity = tuple(range(domain))
     elements = [identity]
@@ -337,10 +356,21 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
         tuple(index[tuple(a[b[i]] for i in range(domain))] for b in elements)
         for a in elements
     )
-    gens_1based = tuple(tuple(v + 1 for v in g) for g in gens)
-    name = alias or canonical_permutation_name(gens_1based)
-    descriptor = GroupDescriptor("permutation", gens_1based, name)
     return _finalize(table, descriptor)
+
+
+def from_descriptor(descriptor: GroupDescriptor, *,
+                    max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    """Build the group a descriptor names; its descriptor equals the input."""
+    family, params = descriptor.family, descriptor.params
+    if family == "product":
+        left, right = (from_descriptor(d, max_order=max_order) for d in params)
+        return direct_product(left, right, max_order=max_order)
+    if family == "permutation":
+        return from_permutations(params, max_order=max_order, alias=descriptor.name)
+    make = {"cyclic": make_cyclic, "dihedral": make_dihedral,
+            "quaternion": make_generalized_quaternion}[family]
+    return make(*params, max_order=max_order)
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
@@ -379,7 +409,7 @@ def maximal_cyclic_subgroups(g: FiniteGroup) -> MaximalCyclicDecomposition:
     )
 
 
-def _is_prime(m: int) -> bool:
+def is_prime(m: int) -> bool:
     if m < 2:
         return False
     d = 2
@@ -392,4 +422,4 @@ def _is_prime(m: int) -> bool:
 
 def is_P_group(g: FiniteGroup) -> bool:
     """True iff every non-identity element has prime order."""
-    return all(_is_prime(o) for o in g.orders[1:])
+    return all(is_prime(o) for o in g.orders[1:])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import CapacityExceeded, InternalError, VerificationError
 from .groups import (
     FiniteGroup,
+    is_prime,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -34,7 +35,6 @@ from .invariants import (
 )
 from .oracle import (
     Prediction,
-    _is_prime,
     decomposition_conditions,
     is_cyclic,
     is_cyclic_prime_power,
@@ -455,6 +455,17 @@ class PartitionCertificate:
     c_parts: tuple[tuple[int, ...], ...]
 
 
+def _interleave(n: int, c_parts, a_parts) -> list[int]:
+    """Even labels 2, 4, ... down the clique blocks; A_i's l-th vertex gets C_i's l-th plus one."""
+    labels = [0] * n
+    for position, v in enumerate((v for part in c_parts for v in part), start=1):
+        labels[v] = 2 * position
+    for apart, cpart in zip(a_parts, c_parts):
+        for u, v in zip(apart, cpart):
+            labels[u] = labels[v] + 1
+    return labels
+
+
 def construct_partition_labeling(graph: Graph, cert: PartitionCertificate) -> Labeling:
     """Labeling with span 2|C| - 2 from a validated partition certificate.
 
@@ -484,19 +495,7 @@ def construct_partition_labeling(graph: Graph, cert: PartitionCertificate) -> La
                     raise ValueError(
                         f"outside block {i} touches its clique block at ({u}, {v})"
                     )
-    labels = [0] * n
-    block_labels: list[list[int]] = []
-    position = 0
-    for part in cert.c_parts:
-        current = []
-        for v in part:
-            position += 1
-            labels[v] = 2 * position
-            current.append(2 * position)
-        block_labels.append(current)
-    for i, apart in enumerate(cert.a_parts):
-        for l, u in enumerate(apart):
-            labels[u] = block_labels[i][l] + 1
+    labels = _interleave(n, cert.c_parts, cert.a_parts)
     return _checked(graph, labels, expected_span=2 * len(cert.clique) - 2)
 
 
@@ -573,7 +572,7 @@ def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
     (p, q) = (3, 2) case has |X_i| = |Y_i| for i < n, where interleaving
     still works because Y_i also avoids X_{i+1}.
     """
-    if not (_is_prime(p) and _is_prime(q)) or p == q:
+    if not (is_prime(p) and is_prime(q)) or p == q:
         raise ValueError("need two distinct primes")
     if n < 1:
         raise ValueError("exponent must be a positive integer")
@@ -591,19 +590,7 @@ def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
     z_class = sorted(v for v in range(order) if g.orders[v] in (1, order))
     expected = two_prime_cyclic_span(p, q, n)
     if (p, q) == (3, 2):
-        labels = [0] * order
-        position = 0
-        x_labels: list[list[int]] = []
-        for block in [*x_classes, z_class]:
-            current = []
-            for v in block:
-                position += 1
-                labels[v] = 2 * position
-                current.append(2 * position)
-            x_labels.append(current)
-        for i in range(n):
-            for l, y in enumerate(y_classes[i]):
-                labels[y] = x_labels[i][l] + 1
+        labels = _interleave(order, [*x_classes, z_class], y_classes)
         return _checked(graph, labels, expected_span=expected)
     if p < q:
         cert = PartitionCertificate(
@@ -641,17 +628,10 @@ def _family_witness(g: FiniteGroup, value: int) -> Labeling | None:
     to the path-cover witness.
     """
     family = g.descriptor.family
-    if family == "cyclic":
-        if is_cyclic_prime_power(g):
-            return None  # handled by the complete-graph labeling
-        params = two_prime_cyclic_params(g)
-        if params is not None:
-            labeling = construct_zpqn_labeling(*params)
-            if labeling.span != value:
-                raise InternalError("family labeling disagrees with pinned value")
-            return labeling
-        return None
-    if family == "dihedral":
+    params = two_prime_cyclic_params(g) if family == "cyclic" else None
+    if params is not None:
+        labeling = construct_zpqn_labeling(*params)
+    elif family == "dihedral":
         labeling = construct_dihedral_labeling(g.order // 2)
     elif family == "quaternion":
         labeling = construct_quaternion_labeling(g.order // 4)
@@ -687,42 +667,38 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     pinned = lower == upper
     notes: list[str] = []
     results: dict[str, int] = {}
-    labelings: dict[str, Labeling] = {}
+    labelings: dict[str, Labeling | None] = {}
 
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
+    def solve_ledger():
+        return (lower, None) if pinned else None
 
-    def run_pathcover() -> None:
+    def solve_pathcover():
         sub = lambda_via_path_cover(graph, dp_limit=dp_limit, deadline=deadline)
-        results["path-cover"] = sub.value  # type: ignore[assignment]
-        labelings["path-cover"] = sub.labeling  # type: ignore[assignment]
+        return sub.value, sub.labeling
 
-    def run_backtrack() -> None:
+    def solve_backtrack():
         sub = lambda_backtrack(graph, limit=backtrack_limit, deadline=deadline)
-        results["backtrack"] = sub.value  # type: ignore[assignment]
-        labelings["backtrack"] = sub.labeling  # type: ignore[assignment]
+        return sub.value, sub.labeling
 
-    if pinned and (verify or method in ("auto", "ledger")):
-        results["ledger"] = lower
-
-    want = [method] if method != "auto" else ["ledger", "pathcover", "backtrack"]
-    if verify:
-        want = ["ledger", "pathcover", "backtrack"]
-
-    if ("pathcover" in want and ("path-cover" not in results)
-            and (verify or method == "pathcover"
-                 or ("ledger" not in results and not out_of_time()))):
+    # (method name, report tag, solver) in the order auto mode tries them.
+    # The ledger is already computed, so the time budget gates only the searches.
+    cascade = (
+        ("ledger", "ledger", solve_ledger),
+        ("pathcover", "path-cover", solve_pathcover),
+        ("backtrack", "backtrack", solve_backtrack),
+    )
+    for name, tag, solve in cascade:
+        auto_turn = method == "auto" and not results and (
+            name == "ledger" or deadline is None or time.monotonic() <= deadline)
+        if not (verify or method == name or auto_turn):
+            continue
         try:
-            run_pathcover()
+            solved = solve()
         except CapacityExceeded as exc:
-            notes.append(f"path-cover unavailable: {exc}")
-    if ("backtrack" in want
-            and (verify or method == "backtrack"
-                 or (not results and not out_of_time()))):
-        try:
-            run_backtrack()
-        except CapacityExceeded as exc:
-            notes.append(f"backtrack unavailable: {exc}")
+            notes.append(f"{tag} unavailable: {exc}")
+            continue
+        if solved is not None:
+            results[tag], labelings[tag] = solved
 
     if verify:
         distinct = set(results.values())
@@ -741,23 +717,15 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
             methods_run=(), notes=tuple(notes),
         )
 
-    for tag in ("ledger", "path-cover", "backtrack"):
-        if tag in results:
-            chosen_method = tag
-            value = results[tag]
-            break
-
+    chosen_method, value = next(iter(results.items()))
     labeling = None
     if with_witness:
-        labeling = labelings.get("path-cover") or labelings.get("backtrack")
+        labeling = next((lab for lab in labelings.values() if lab is not None), None)
         if labeling is None:
             if is_cyclic_prime_power(g):
                 labeling = _complete_graph_labeling(graph)
             else:
-                try:
-                    labeling = _family_witness(g, value)
-                except InternalError:
-                    raise
+                labeling = _family_witness(g, value)
                 if labeling is None:
                     try:
                         cover_report = lambda_via_path_cover(graph, dp_limit=dp_limit,

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, InternalError
-from .groups import FiniteGroup, cyclic_subgroup, is_P_group, maximal_cyclic_subgroups
+from .groups import (
+    FiniteGroup,
+    cyclic_subgroup,
+    is_P_group,
+    is_prime,
+    maximal_cyclic_subgroups,
+)
 from .invariants import DEFAULT_DP_LIMIT, check_dp_limit, hamilton_path
 from .powergraph import build_power_graph, complement, delete_vertex
 
@@ -59,10 +65,6 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _is_prime(m: int) -> bool:
-    return m >= 2 and factorize(m) == {m: 1}
-
-
 def is_cyclic(g: FiniteGroup) -> bool:
     return max(g.orders) == g.order
 
@@ -87,34 +89,26 @@ def two_prime_cyclic_params(g: FiniteGroup) -> tuple[int, int, int] | None:
     return None
 
 
+def _index_two_cyclic(g: FiniteGroup, outside_order: int) -> bool:
+    """Whether the first element of order |G|/2 has only ``outside_order`` outside its span."""
+    n = g.order
+    rotation = next((x for x in range(n) if g.orders[x] == n // 2), None)
+    if rotation is None:
+        return False
+    inside = cyclic_subgroup(g, rotation)
+    return all(g.orders[x] == outside_order for x in range(n) if x not in inside)
+
+
 def dihedral_params(g: FiniteGroup) -> int | None:
     """k when the group is dihedral of order 2k with k >= 3, else None."""
     n = g.order
-    if n < 6 or n % 2 != 0:
-        return None
-    k = n // 2
-    rotation = next((x for x in range(n) if g.orders[x] == k), None)
-    if rotation is None:
-        return None
-    inside = cyclic_subgroup(g, rotation)
-    if all(g.orders[x] == 2 for x in range(n) if x not in inside):
-        return k
-    return None
+    return n // 2 if n >= 6 and n % 2 == 0 and _index_two_cyclic(g, 2) else None
 
 
 def quaternion_params(g: FiniteGroup) -> int | None:
     """k when the group is generalized quaternion of order 4k, k >= 2, else None."""
     n = g.order
-    if n < 8 or n % 4 != 0:
-        return None
-    k = n // 4
-    rotation = next((x for x in range(n) if g.orders[x] == 2 * k), None)
-    if rotation is None:
-        return None
-    inside = cyclic_subgroup(g, rotation)
-    if all(g.orders[x] == 4 for x in range(n) if x not in inside):
-        return k
-    return None
+    return n // 4 if n >= 8 and n % 4 == 0 and _index_two_cyclic(g, 4) else None
 
 
 def decomposition_conditions(g: FiniteGroup) -> tuple[bool, bool]:
@@ -170,7 +164,7 @@ def predict_lambda(g: FiniteGroup) -> Prediction:
         value = 4 * qk + 1 if _is_power_of_two(qk) else 4 * qk
         matches.append(("quaternion", value, f"generalized quaternion of order {4 * qk}"))
     if n >= 2 and is_P_group(g):
-        value = 2 * (n - 1) if _is_prime(n) else n
+        value = 2 * (n - 1) if is_prime(n) else n
         matches.append(("prime-order-elements", value,
                         "every non-identity element has prime order"))
     if not is_cyclic(g):
@@ -251,7 +245,7 @@ def _is_cyclic_twice_odd_prime(g: FiniteGroup) -> bool:
     if not is_cyclic(g) or g.order % 2 != 0:
         return False
     half = g.order // 2
-    return half % 2 == 1 and _is_prime(half)
+    return half % 2 == 1 and is_prime(half)
 
 
 def check_upper_classification(g: FiniteGroup, lam: int) -> UpperCheck:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lambda_power.cli import (
+    build_group,
     builtin_corpus,
     canonical_spec,
     group_from_text,
@@ -65,6 +66,34 @@ def test_canonical_roundtrip():
 def test_canonical_normalizes_whitespace_and_alias():
     assert canonical_spec(parse_group_spec(" Z2 x Z2 ")) == "Z2xZ2"
     assert canonical_spec(parse_group_spec("C6")) == "Z6"
+
+
+def test_permutations_are_named_by_least_entry_first():
+    assert canonical_spec(parse_group_spec("perm:(2 3 1)")) == "perm:(1 2 3)"
+    assert canonical_spec(parse_group_spec("perm:(3 4)(1 2)")) == "perm:(1 2)(3 4)"
+
+
+def test_parse_yields_the_descriptor_the_group_carries():
+    texts = [spec for spec, _ in builtin_corpus(20)]
+    texts += ["A5", "perm:(2 3 1)", "perm:(3 4)(1 2)"]
+    for text in texts:
+        descriptor = parse_group_spec(text)
+        assert build_group(descriptor).descriptor == descriptor, text
+
+
+def test_parse_rejects_bad_cycles_with_position():
+    with pytest.raises(GroupSpecError, match="repeated"):
+        parse_group_spec("perm:(1 1)")
+    with pytest.raises(GroupSpecError) as info:
+        parse_group_spec("Z2xperm:(0 1)")
+    assert info.value.position == 3
+
+
+def test_text_and_json_report_the_same_group_name(capsys):
+    _, text_out, _ = run(capsys, "lambda", "perm:(2 3 1)")
+    _, json_out, _ = run(capsys, "lambda", "perm:(2 3 1)", "--json")
+    assert text_out.splitlines()[0] == "group      perm:(1 2 3)"
+    assert json.loads(json_out)["group"] == "perm:(1 2 3)"
 
 
 def test_cmd_lambda_json(capsys):
@@ -160,6 +189,15 @@ def test_cmd_verify_zpqn_values(capsys):
     assert values == [8, 8, 28, 16, 16, 16]
 
 
+@pytest.mark.parametrize("bad_range", ["5..x", "0..3"])
+def test_cmd_verify_bad_range_is_an_error(capsys, bad_range):
+    code, out, err = run(capsys, "verify", "cyclic", bad_range)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_cmd_graph_json(capsys):
     code, out, _ = run(capsys, "graph", "Z4", "--format", "json")
     assert code == 0
@@ -241,6 +279,30 @@ def test_cache_roundtrip(tmp_path, capsys):
     code2, out2, _ = run(capsys, "lambda", "Z12", "--json", "--cache", str(cache))
     assert code2 == 0
     assert json.loads(out1)["lambda"] == json.loads(out2)["lambda"] == 16
+
+
+def test_cache_hit_prints_what_its_miss_printed(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    code1, miss, _ = run(capsys, "lambda", "Q12", "--cache", str(cache))
+    code2, hit, _ = run(capsys, "lambda", "Q12", "--cache", str(cache))
+    assert code1 == code2 == 0
+    assert len(miss.splitlines()) > 4
+    assert hit == miss
+
+
+def test_corrupt_cache_line_is_skipped_with_warning(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"key": "Z6|x", "rep', encoding="utf-8")
+    code, out, err = run(capsys, "lambda", "Z6", "--json", "--cache", str(cache))
+    assert code == 0
+    assert json.loads(out)["lambda"] == 8
+    assert err == f"warning: {cache}:1: skipping corrupt cache line\n"
+    # the new record starts on a line of its own, so a rerun hits it
+    code, hit, err = run(capsys, "lambda", "Z6", "--json", "--cache", str(cache))
+    assert code == 0
+    assert hit == out
+    assert err.count("warning:") == 1
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_builtin_corpus_shape():
