@@ -23,6 +23,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupDescriptor,
+    _check_capacity,
     from_descriptor,
     make_cyclic,
     make_dihedral,
@@ -47,7 +48,7 @@ from .oracle import (
     is_cyclic_prime_power,
     predict_lambda,
 )
-from .powergraph import build_power_graph, complement
+from .powergraph import build_power_graph
 
 A5_CYCLES = (((1, 2, 3, 4, 5),), ((1, 2, 3),))
 
@@ -405,9 +406,10 @@ _RANGE_FAMILIES = {  # spec prefix, order step, default range
 }
 
 
-def _family_specs(family: str, range_text: str) -> list[str]:
+def _family_specs(family: str, range_text: str) -> list[tuple[int, str]]:
+    """(order, spec) for each member of a ``verify`` family, in row order."""
     if family == "zpqn":
-        return [f"Z{p * q ** n}" for p, q, n in _ZPQN_CASES]
+        return [(p * q ** n, f"Z{p * q ** n}") for p, q, n in _ZPQN_CASES]
     if family == "elementary-abelian":
         lo, hi = _parse_range(range_text, (4, 16))
         found = []
@@ -418,19 +420,21 @@ def _family_specs(family: str, range_text: str) -> list[str]:
                     found.append((power, "x".join([f"Z{p}"] * exponent)))
                 power *= p
                 exponent += 1
-        return [spec for _, spec in sorted(found)]
+        return sorted(found)
     if family not in _RANGE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     prefix, step, default = _RANGE_FAMILIES[family]
     lo, hi = _parse_range(range_text, default)
-    return [f"{prefix}{step * k}" for k in range(lo, hi + 1)]
+    return [(step * k, f"{prefix}{step * k}") for k in range(lo, hi + 1)]
 
 
 def cmd_verify(args) -> int:
     try:
-        descriptors = [parse_group_spec(text)
-                       for text in _family_specs(args.family, args.range)]
-    except ValueError as exc:
+        members = _family_specs(args.family, args.range)
+        descriptors = [parse_group_spec(text) for _, text in members]
+        for order, _ in members:  # refuse before the first row is printed
+            _check_capacity(order, DEFAULT_MAX_ORDER)
+    except (ValueError, CapacityExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -438,11 +442,7 @@ def cmd_verify(args) -> int:
     all_match = True
     failed = False
     for descriptor in descriptors:
-        try:
-            group = build_group(descriptor)
-        except CapacityExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        group = build_group(descriptor)
         prediction = predict_lambda(group)
         try:
             report = lambda_exact(group, dp_limit=args.dp_limit)
@@ -478,7 +478,7 @@ def cmd_invariants(args) -> int:
         payload["independence_number"] = None
     try:
         payload["complement_path_cover"] = path_cover_number(
-            complement(graph), dp_limit=args.dp_limit).count
+            graph.complement, dp_limit=args.dp_limit).count
     except CapacityExceeded:
         payload["complement_path_cover"] = None
     payload["identity_deleted_components"] = cut_vertex_component_profile(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
@@ -90,27 +91,25 @@ class FiniteGroup:
     inverses: tuple[int, ...]
     descriptor: GroupDescriptor
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def power(self, x: int, k: int) -> int:
-        """x**k for any integer exponent (negative exponents via the inverse)."""
-        if not 0 <= x < self.order:
-            raise ValueError(f"element index {x} out of range")
-        if k < 0:
-            x, k = self.inverses[x], -k
-        k %= self.orders[x]
-        result, base = 0, x
-        while k:
-            if k & 1:
-                result = self.table[result][base]
-            base = self.table[base][base]
-            k >>= 1
-        return result
+    @cached_property
+    def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
+        """All cyclic subgroups maximal under inclusion, largest first; built once."""
+        subgroups = {cyclic_subgroup(self, x) for x in range(self.order)}
+        maximal = [s for s in subgroups if not any(s < t for t in subgroups)]
+        maximal.sort(key=lambda s: (-len(s), sorted(s)))
+        pairwise = all(
+            len(maximal[i] & maximal[j]) == 1
+            for i in range(len(maximal))
+            for j in range(i + 1, len(maximal))
+        )
+        return MaximalCyclicDecomposition(
+            subgroups=tuple(maximal),
+            sizes=tuple(len(s) for s in maximal),
+            pairwise_trivial=pairwise,
+        )
 
 
 @dataclass(frozen=True)
@@ -394,19 +393,7 @@ def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
 
 def maximal_cyclic_subgroups(g: FiniteGroup) -> MaximalCyclicDecomposition:
     """All cyclic subgroups maximal under inclusion, sorted by size descending."""
-    subgroups = {cyclic_subgroup(g, x) for x in range(g.order)}
-    maximal = [s for s in subgroups if not any(s < t for t in subgroups)]
-    maximal.sort(key=lambda s: (-len(s), sorted(s)))
-    pairwise = all(
-        len(maximal[i] & maximal[j]) == 1
-        for i in range(len(maximal))
-        for j in range(i + 1, len(maximal))
-    )
-    return MaximalCyclicDecomposition(
-        subgroups=tuple(maximal),
-        sizes=tuple(len(s) for s in maximal),
-        pairwise_trivial=pairwise,
-    )
+    return g.maximal_cyclic_subgroups
 
 
 def is_prime(m: int) -> bool:

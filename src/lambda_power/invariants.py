@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, InternalError
-from .powergraph import Graph, bits, complement, connected_components, delete_vertex
+from .powergraph import Graph, bits, connected_components, delete_vertex
 
 DEFAULT_CLIQUE_LIMIT = 128
 DEFAULT_DP_LIMIT = 24
@@ -99,7 +99,7 @@ def clique_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedV
 
 def independence_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedValue:
     """Maximum independent set, computed as a clique of the complement."""
-    found = clique_number(complement(graph), limit=limit)
+    found = clique_number(graph.complement, limit=limit)
     return WitnessedValue(found.value, found.witness, "independent-set")
 
 
@@ -334,8 +334,7 @@ def find_complement_p4(graph: Graph) -> tuple[int, int, int, int] | None:
     n = graph.n
     if n < 4:
         return None
-    full = graph.full_mask
-    comp = [full & ~graph.adj[v] & ~(1 << v) for v in range(n)]
+    comp = graph.complement.adj
     for a in range(n):
         for b in bits(comp[a]):
             for c in bits(comp[b] & ~(1 << a)):

@@ -26,6 +26,7 @@ from .groups import (
 from .invariants import (
     DEFAULT_CLIQUE_LIMIT,
     DEFAULT_DP_LIMIT,
+    _twin_classes,
     check_dp_limit,
     clique_number,
     cut_vertex_component_profile,
@@ -42,13 +43,7 @@ from .oracle import (
     two_prime_cyclic_params,
     two_prime_cyclic_span,
 )
-from .powergraph import (
-    Graph,
-    bits,
-    build_power_graph,
-    complement,
-    diameter_at_most_two,
-)
+from .powergraph import Graph, bits, build_power_graph, diameter_at_most_two
 
 DEFAULT_BACKTRACK_LIMIT = 20
 
@@ -96,16 +91,6 @@ class ValidationReport:
     violations: tuple[LabelingViolation, ...]
 
 
-def _distance_two_masks(graph: Graph) -> list[int]:
-    masks = []
-    for v in range(graph.n):
-        reach = 0
-        for u in bits(graph.adj[v]):
-            reach |= graph.adj[u]
-        masks.append(reach & ~graph.adj[v] & ~(1 << v))
-    return masks
-
-
 def validate_l21(graph: Graph, labeling: Labeling) -> ValidationReport:
     """Check the two labeling constraints; report every violating pair."""
     if len(labeling.labels) != graph.n:
@@ -119,7 +104,7 @@ def validate_l21(graph: Graph, labeling: Labeling) -> ValidationReport:
             v = u + 1 + offset
             if abs(labels[u] - labels[v]) < 2:
                 violations.append(LabelingViolation(u, v, "adjacent-gap"))
-    d2 = _distance_two_masks(graph)
+    d2 = graph.distance_two
     for u in range(graph.n):
         for offset in bits(d2[u] >> (u + 1)):
             v = u + 1 + offset
@@ -211,7 +196,7 @@ def bound_ledger(g: FiniteGroup, graph: Graph | None = None, *,
         alpha = independence_number(graph, limit=clique_limit)
         entries.append(Bound("upper", 2 * n - alpha.value - 1, "independence"))
     except CapacityExceeded:
-        witness = _greedy_clique(complement(graph))
+        witness = _greedy_clique(graph.complement)
         entries.append(Bound("upper", 2 * n - len(witness) - 1, "independence",
                              exact=False, note="greedy independent set only"))
     if not is_cyclic_prime_power(g):
@@ -265,7 +250,7 @@ def lambda_via_path_cover(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
         raise ValueError("graph must have at least one vertex")
     if not diameter_at_most_two(graph):
         raise ValueError("path-cover method requires a graph of diameter at most 2")
-    cover = path_cover_number(complement(graph), dp_limit=dp_limit,
+    cover = path_cover_number(graph.complement, dp_limit=dp_limit,
                               use_heuristic=use_heuristic, deadline=deadline)
     r = cover.count
     value = n - 1 if r == 1 else n + r - 2
@@ -295,35 +280,22 @@ def _twin_predecessors(graph: Graph) -> list[int]:
     Two vertices with equal closed neighborhoods (mutually adjacent twins) or
     equal open neighborhoods (nonadjacent twins) can swap labels in any valid
     labeling, so forcing ascending labels within a class loses no solutions.
-    Classes are disjoint: closed-neighborhood classes are formed first.
+    Closed twins are the open twins of the complement, and no vertex has
+    twins of both kinds, so no vertex is given two predecessors.
     """
-    n = graph.n
-    prev = [-1] * n
-    taken = [False] * n
-    closed: dict[int, int] = {}
-    for v in range(n):
-        key = graph.adj[v] | (1 << v)
-        if key in closed:
-            prev[v] = closed[key]
-            taken[v] = taken[closed[key]] = True
-        closed[key] = v
-    opened: dict[int, int] = {}
-    for v in range(n):
-        if taken[v]:
-            continue
-        key = graph.adj[v]
-        if key in opened and not taken[opened[key]]:
-            prev[v] = opened[key]
-        opened[key] = v
+    prev = [-1] * graph.n
+    for adj in (graph.adj, graph.complement.adj):
+        for members in _twin_classes(adj)[0]:
+            for earlier, v in zip(members, members[1:]):
+                prev[v] = earlier
     return prev
 
 
-def _span_feasible(graph: Graph, k: int, order: list[int], injective: bool,
-                   deadline: float | None) -> list[int] | None:
+def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
+                   injective: bool, deadline: float | None) -> list[int] | None:
     n = graph.n
     adj = graph.adj
-    d2 = _distance_two_masks(graph)
-    prev_twin = _twin_predecessors(graph)
+    d2 = graph.distance_two
     full = (1 << (k + 1)) - 1
     if injective and k + 1 < n:
         return None
@@ -416,8 +388,9 @@ def lambda_backtrack(graph: Graph, span_budget: int | None = None,
     lower = max(2 * omega - 2, n - 1 if injective else 0)
     upper = span_budget if span_budget is not None else 2 * n - 2
     order = _backtrack_order(graph)
+    prev_twin = _twin_predecessors(graph)
     for k in range(lower, upper + 1):
-        found = _span_feasible(graph, k, order, injective, deadline)
+        found = _span_feasible(graph, k, order, prev_twin, injective, deadline)
         if found is not None:
             labeling = _checked(graph, found, expected_span=None)
             if labeling.span > k:
@@ -499,6 +472,16 @@ def construct_partition_labeling(graph: Graph, cert: PartitionCertificate) -> La
     return _checked(graph, labels, expected_span=2 * len(cert.clique) - 2)
 
 
+def _dihedral_labels(k: int) -> tuple[list[int], int]:
+    """Labels and span of the dihedral construction in ``make_dihedral``'s layout."""
+    labels = [0] * (2 * k)
+    for i in range(1, k):
+        labels[i] = 2 * i + 1
+    for i in range(k):
+        labels[k + i] = 2 * i + 2
+    return labels, 2 * k
+
+
 def construct_dihedral_labeling(k: int) -> Labeling:
     """The explicit span-2k labeling of the dihedral power graph of order 2k.
 
@@ -508,28 +491,12 @@ def construct_dihedral_labeling(k: int) -> Labeling:
     """
     if k < 3:
         raise ValueError("dihedral construction needs k >= 3")
-    g = make_dihedral(2 * k)
-    graph = build_power_graph(g)
-    labels = [0] * (2 * k)
-    for i in range(1, k):
-        labels[i] = 2 * i + 1
-    for i in range(k):
-        labels[k + i] = 2 * i + 2
-    return _checked(graph, labels, expected_span=2 * k)
+    labels, span = _dihedral_labels(k)
+    return _checked(build_power_graph(make_dihedral(2 * k)), labels, expected_span=span)
 
 
-def construct_quaternion_labeling(k: int) -> Labeling:
-    """Explicit labeling of the generalized quaternion power graph of order 4k.
-
-    When k is a power of two every rotation order is even, the central
-    involution x^k neighbors everything and the span is 4k + 1. Otherwise an
-    element x0 of maximal odd order is nonadjacent to x^k, which frees one
-    label and achieves span 4k.
-    """
-    if k < 2:
-        raise ValueError("generalized quaternion construction needs k >= 2")
-    g = make_generalized_quaternion(4 * k)
-    graph = build_power_graph(g)
+def _quaternion_labels(k: int) -> tuple[list[int], int]:
+    """Labels and span of the quaternion construction in its constructor's layout."""
     nn = 2 * k
     labels = [0] * (4 * k)
     if k & (k - 1) == 0:
@@ -544,41 +511,40 @@ def construct_quaternion_labeling(k: int) -> Labeling:
             labels[nn + (nn - j)] = 2 * k + 2 * (j + 1) + 1
         labels[nn] = 5
         labels[nn + k] = 4 * k
-        expected = 4 * k + 1
-    else:
-        x0 = nn & -nn  # exponent of the element of maximal odd order in <x>
-        labels[0] = 0
-        labels[k] = 2
-        labels[x0] = 3
-        rest = [i for i in range(1, nn) if i not in (k, x0)]
-        for idx, z in enumerate(rest, start=1):
-            labels[z] = 2 * (idx + 1) + 1
-        for j in range(1, k):
-            labels[nn + j] = 2 * (j + 2)
-            labels[nn + (nn - j)] = 2 * k + 2 * (j + 1)
-        labels[nn] = 4
-        labels[nn + k] = 4 * k - 1
-        expected = 4 * k
-    return _checked(graph, labels, expected_span=expected)
+        return labels, 4 * k + 1
+    x0 = nn & -nn  # exponent of the element of maximal odd order in <x>
+    labels[0] = 0
+    labels[k] = 2
+    labels[x0] = 3
+    rest = [i for i in range(1, nn) if i not in (k, x0)]
+    for idx, z in enumerate(rest, start=1):
+        labels[z] = 2 * (idx + 1) + 1
+    for j in range(1, k):
+        labels[nn + j] = 2 * (j + 2)
+        labels[nn + (nn - j)] = 2 * k + 2 * (j + 1)
+    labels[nn] = 4
+    labels[nn + k] = 4 * k - 1
+    return labels, 4 * k
 
 
-def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
-    """Order-class labeling of the cyclic group of order p * q**n.
+def construct_quaternion_labeling(k: int) -> Labeling:
+    """Explicit labeling of the generalized quaternion power graph of order 4k.
 
-    Elements split by order into classes X_i (order p * q**(n-i)), Y_i
-    (order q**(n+1-i)) and Z (generators plus identity); X_i and Y_i are
-    mutually nonadjacent. For p < q the Y-classes join Z as the maximum
-    clique with the X-classes interleaved; for q < p the roles swap. The
-    (p, q) = (3, 2) case has |X_i| = |Y_i| for i < n, where interleaving
-    still works because Y_i also avoids X_{i+1}.
+    When k is a power of two every rotation order is even, the central
+    involution x^k neighbors everything and the span is 4k + 1. Otherwise an
+    element x0 of maximal odd order is nonadjacent to x^k, which frees one
+    label and achieves span 4k.
     """
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError("need two distinct primes")
-    if n < 1:
-        raise ValueError("exponent must be a positive integer")
-    order = p * q ** n
-    g = make_cyclic(order)
-    graph = build_power_graph(g)
+    if k < 2:
+        raise ValueError("generalized quaternion construction needs k >= 2")
+    labels, span = _quaternion_labels(k)
+    graph = build_power_graph(make_generalized_quaternion(4 * k))
+    return _checked(graph, labels, expected_span=span)
+
+
+def _zpqn_labels(g: FiniteGroup, p: int, q: int, n: int) -> tuple[list[int], int]:
+    """Labels and span of the order-class construction on the cyclic group ``g``."""
+    order = g.order
     x_classes = [
         sorted(v for v in range(order) if g.orders[v] == p * q ** (n - i))
         for i in range(1, n + 1)
@@ -588,28 +554,29 @@ def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
         for i in range(1, n + 1)
     ]
     z_class = sorted(v for v in range(order) if g.orders[v] in (1, order))
-    expected = two_prime_cyclic_span(p, q, n)
-    if (p, q) == (3, 2):
-        labels = _interleave(order, [*x_classes, z_class], y_classes)
-        return _checked(graph, labels, expected_span=expected)
-    if p < q:
-        cert = PartitionCertificate(
-            clique=tuple(v for part in [*y_classes, z_class] for v in part),
-            a_parts=tuple(tuple(part) for part in x_classes),
-            c_parts=tuple(tuple(part) for part in [*y_classes, z_class]),
-        )
-    else:
-        cert = PartitionCertificate(
-            clique=tuple(v for part in [*x_classes, z_class] for v in part),
-            a_parts=tuple(tuple(part) for part in y_classes),
-            c_parts=tuple(tuple(part) for part in [*x_classes, z_class]),
-        )
-    labeling = construct_partition_labeling(graph, cert)
-    if labeling.span != expected:
-        raise InternalError(
-            f"order-class labeling has span {labeling.span}, expected {expected}"
-        )
-    return labeling
+    clique, outside = (y_classes, x_classes) if p < q else (x_classes, y_classes)
+    labels = _interleave(order, [*clique, z_class], outside)
+    return labels, two_prime_cyclic_span(p, q, n)
+
+
+def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
+    """Order-class labeling of the cyclic group of order p * q**n.
+
+    Elements split by order into classes X_i (order p * q**(n-i)), Y_i
+    (order q**(n+1-i)) and Z (generators plus identity); X_i and Y_i are
+    mutually nonadjacent. For p < q the Y-classes join Z as the maximum
+    clique with the X-classes interleaved as in a partition certificate; for
+    q < p the roles swap. The (p, q) = (3, 2) case has |X_i| = |Y_i| for
+    i < n, too many for a certificate, where interleaving still works
+    because Y_i also avoids X_{i+1}.
+    """
+    if not (is_prime(p) and is_prime(q)) or p == q:
+        raise ValueError("need two distinct primes")
+    if n < 1:
+        raise ValueError("exponent must be a positive integer")
+    g = make_cyclic(p * q ** n)
+    labels, span = _zpqn_labels(g, p, q, n)
+    return _checked(build_power_graph(g), labels, expected_span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +587,8 @@ def _complete_graph_labeling(graph: Graph) -> Labeling:
     return _checked(graph, [2 * v for v in range(graph.n)])
 
 
-def _family_witness(g: FiniteGroup, value: int) -> Labeling | None:
-    """Constructive witness in the constructor's own index layout, if any.
+def _family_witness(g: FiniteGroup, graph: Graph) -> Labeling | None:
+    """Constructive witness on ``g``'s power graph, in the constructor's layout.
 
     Only descriptor families built by this package's constructors are
     eligible; structurally recognized but foreign-indexed groups fall back
@@ -630,16 +597,14 @@ def _family_witness(g: FiniteGroup, value: int) -> Labeling | None:
     family = g.descriptor.family
     params = two_prime_cyclic_params(g) if family == "cyclic" else None
     if params is not None:
-        labeling = construct_zpqn_labeling(*params)
+        labels, span = _zpqn_labels(g, *params)
     elif family == "dihedral":
-        labeling = construct_dihedral_labeling(g.order // 2)
+        labels, span = _dihedral_labels(g.order // 2)
     elif family == "quaternion":
-        labeling = construct_quaternion_labeling(g.order // 4)
+        labels, span = _quaternion_labels(g.order // 4)
     else:
         return None
-    if labeling.span != value:
-        raise InternalError("family labeling disagrees with pinned value")
-    return labeling
+    return _checked(graph, labels, expected_span=span)
 
 
 def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
@@ -725,7 +690,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
             if is_cyclic_prime_power(g):
                 labeling = _complete_graph_labeling(graph)
             else:
-                labeling = _family_witness(g, value)
+                labeling = _family_witness(g, graph)
                 if labeling is None:
                     try:
                         cover_report = lambda_via_path_cover(graph, dp_limit=dp_limit,
@@ -739,12 +704,9 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
                         labeling = cover_report.labeling
                     except CapacityExceeded as exc:
                         notes.append(f"witness unavailable: {exc}")
-        if labeling is not None:
-            if labeling.span != value:
-                raise InternalError("witness span disagrees with the computed value")
-            check = validate_l21(graph, labeling)
-            if not check.ok:
-                raise InternalError("witness labeling failed validation")
+        # Every producer above validated its labeling on this graph.
+        if labeling is not None and labeling.span != value:
+            raise InternalError("witness span disagrees with the computed value")
     else:
         notes.append("witness omitted on request")
 

@@ -20,7 +20,7 @@ from .groups import (
     maximal_cyclic_subgroups,
 )
 from .invariants import DEFAULT_DP_LIMIT, check_dp_limit, hamilton_path
-from .powergraph import build_power_graph, complement, delete_vertex
+from .powergraph import build_power_graph, delete_vertex
 
 __all__ = [
     "EqualityCheck",
@@ -211,7 +211,7 @@ def check_lower_equality(g: FiniteGroup, lam: int,
     check_dp_limit(dp_limit)
     graph = build_power_graph(g)
     reduced, survivors = delete_vertex(graph, graph.identity_vertex or 0)
-    punctured = complement(reduced)
+    punctured = reduced.complement
     try:
         path = hamilton_path(punctured, dp_limit=dp_limit)
     except CapacityExceeded as exc:

@@ -8,6 +8,7 @@ says u and v are adjacent, so neighborhood intersections are single ANDs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InternalError
@@ -65,9 +66,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         out = []
@@ -79,6 +77,24 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
+
+    @cached_property
+    def complement(self) -> Graph:
+        """Same vertices, edges exactly where this graph has none; built once."""
+        full = self.full_mask
+        rows = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(self.adj))
+        return Graph(rows, identity_vertex=self.identity_vertex, descriptor=self.descriptor)
+
+    @cached_property
+    def distance_two(self) -> tuple[int, ...]:
+        """Row v: the vertices at distance exactly two from v; built once."""
+        rows = []
+        for v, row in enumerate(self.adj):
+            reach = 0
+            for u in bits(row):
+                reach |= self.adj[u]
+            rows.append(reach & ~row & ~(1 << v))
+        return tuple(rows)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], *,
@@ -110,11 +126,8 @@ def build_power_graph(g: FiniteGroup) -> Graph:
 
 
 def complement(graph: Graph) -> Graph:
-    """Same vertices, edges exactly where the input has none."""
-    full = graph.full_mask
-    rows = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(graph.adj))
-    return Graph(rows, identity_vertex=graph.identity_vertex,
-                 descriptor=graph.descriptor)
+    """Same vertices, edges exactly where the input has none (``graph.complement``)."""
+    return graph.complement
 
 
 def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:

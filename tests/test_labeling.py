@@ -1,5 +1,7 @@
 """Labeling validation, exact span solvers and the constructive labelings."""
 
+from collections import Counter
+
 import pytest
 
 from oracles import brute_lambda, check_l21
@@ -27,6 +29,7 @@ from lambda_power import (
     permutation_from_cycles,
     validate_l21,
 )
+from lambda_power import labeling as labeling_module
 from lambda_power.errors import VerificationError
 
 
@@ -386,3 +389,21 @@ def test_verification_error_type_exists():
     # VerificationError carries the disagreeing values mapping
     err = VerificationError("boom", values={"a": 1, "b": 2})
     assert err.values == {"a": 1, "b": 2}
+
+
+@pytest.mark.parametrize("make, order", [(make_dihedral, 12), (make_cyclic, 6)],
+                         ids=["D12", "Z6"])
+def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
+    # Both are pinned by the ledger and take a family witness, which must be
+    # laid on lambda_exact's own graph rather than on a rebuilt group.
+    group = make(order)
+    calls = Counter()
+    for name in ("build_power_graph", "make_cyclic", "make_dihedral",
+                 "make_generalized_quaternion", "validate_l21"):
+        def counted(*args, _name=name, _fn=getattr(labeling_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(labeling_module, name, counted)
+    report = lambda_exact(group)
+    assert report.method == "ledger" and report.labeling is not None
+    assert calls == {"build_power_graph": 1, "validate_l21": 1}

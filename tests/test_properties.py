@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    bfs_distances,
     brute_hamilton_exists,
     brute_lambda,
     brute_max_clique,
@@ -20,6 +21,7 @@ from lambda_power import (
     lambda_backtrack,
     path_cover_number,
 )
+from lambda_power.labeling import _twin_predecessors
 
 
 @st.composite
@@ -38,6 +40,35 @@ def test_complement_involution_and_edge_split(graph):
     assert complement(comp).adj == graph.adj
     n = graph.n
     assert graph.edge_count() + comp.edge_count() == n * (n - 1) // 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_complement_is_built_once(graph):
+    comp = complement(graph)
+    assert complement(graph) is comp
+    full = graph.full_mask
+    assert comp.adj == tuple(full & ~row & ~(1 << v) for v, row in enumerate(graph.adj))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_distance_two_rows_match_bfs(graph):
+    for v in range(graph.n):
+        dist = bfs_distances(graph, v)
+        assert graph.distance_two[v] == sum(1 << u for u, d in enumerate(dist) if d == 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_twin_predecessors_match_brute(graph):
+    closed = [graph.adj[v] | (1 << v) for v in range(graph.n)]
+    expected = []
+    for v in range(graph.n):
+        twins = [u for u in range(v)
+                 if graph.adj[u] == graph.adj[v] or closed[u] == closed[v]]
+        expected.append(twins[-1] if twins else -1)
+    assert _twin_predecessors(graph) == expected
 
 
 @settings(max_examples=120, deadline=None)
