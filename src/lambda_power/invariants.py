@@ -5,6 +5,8 @@ fixed, and witnesses come out canonical for a given graph. Exact routines
 refuse instances above their configured limits instead of silently guessing;
 the rotation heuristic is only ever used to produce positive Hamilton-path
 certificates, never to conclude absence.
+A question about part of a graph runs on the graph's own rows over a vertex
+set that no outside row reaches, and answers in the graph's own indices.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import CapacityExceeded, InternalError
-from .powergraph import Graph, bits, connected_components, delete_vertex
+from .powergraph import Graph, _masked_components, bits, connected_components
 
 DEFAULT_CLIQUE_LIMIT = 128
 DEFAULT_DP_LIMIT = 24
@@ -103,25 +106,13 @@ def independence_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> Witn
     return WitnessedValue(found.value, found.witness, "independent-set")
 
 
-def _induced_adjacency(graph: Graph, vertices: list[int]) -> list[int]:
-    position = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for v in vertices:
-        row = 0
-        for u in bits(graph.adj[v]):
-            i = position.get(u)
-            if i is not None:
-                row |= 1 << i
-        rows.append(row)
-    return rows
-
-
-def _rotation_heuristic(adj: list[int] | tuple[int, ...], m: int,
+def _rotation_heuristic(adj: tuple[int, ...], vertices: list[int],
                         deadline: float | None = None) -> list[int] | None:
     """Greedy path growth with rotation extension; positive answers only."""
+    m = len(vertices)
     budget = 4 * m * m + 16
     ticks = 0
-    for start in range(m):
+    for start in vertices:
         path = [start]
         inset = 1 << start
         steps = 0
@@ -153,13 +144,16 @@ def _rotation_heuristic(adj: list[int] | tuple[int, ...], m: int,
     return None
 
 
-def _twin_classes(adj: list[int] | tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
-    """Open-twin classes (equal adjacency rows), members ascending, and the
-    quotient adjacency. Twins are never adjacent: no quotient row has its own bit.
+def _twin_classes(adj: tuple[int, ...],
+                  vertices: Iterable[int]) -> tuple[list[list[int]], list[int]]:
+    """Open-twin classes (equal adjacency rows) of the vertices, members
+    ascending, and the quotient adjacency. Twins are never adjacent: no
+    quotient row has its own bit.
     """
     number: dict[int, int] = {}
     members: list[list[int]] = []
-    for v, row in enumerate(adj):
+    for v in vertices:
+        row = adj[v]
         if row not in number:
             number[row] = len(members)
             members.append([])
@@ -181,9 +175,9 @@ def _typecode(largest: int) -> str | None:
     return None
 
 
-def _quotient_cover(adj: list[int] | tuple[int, ...], m: int, dp_limit: int,
+def _quotient_cover(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
                     deadline: float | None = None) -> list[list[int]]:
-    """Minimum path cover of a connected graph on m >= 2 vertices, exact.
+    """Minimum path cover of a connected subgraph on m >= 2 vertices, exact.
 
     Open twins are interchangeable in any path, so the DP runs over r, the
     members left per twin class, coded in mixed radix: ``best[r]`` is the
@@ -192,7 +186,8 @@ def _quotient_cover(adj: list[int] | tuple[int, ...], m: int, dp_limit: int,
     adjacent to a class of ``ends[r]``, else ``best[r] + 1`` (a new path).
     Refuses, before allocating, when the states exceed ``2**dp_limit``.
     """
-    members, qadj = _twin_classes(adj)
+    m = len(vertices)
+    members, qadj = _twin_classes(adj, vertices)
     q = len(members)
     weights = [len(cls) for cls in members]
     strides = []
@@ -249,13 +244,14 @@ def _quotient_cover(adj: list[int] | tuple[int, ...], m: int, dp_limit: int,
     return paths
 
 
-def _cover_component(adj: list[int] | tuple[int, ...], m: int, dp_limit: int,
+def _cover_component(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
                      use_heuristic: bool, deadline: float | None) -> list[list[int]]:
-    """Minimum path cover of a connected graph on m >= 2 vertices: a Hamilton
-    path from the heuristic (a valid certificate) if it finds one, else the DP's.
+    """Minimum path cover of the connected subgraph on ``vertices`` (ascending,
+    at least two, reached by no outside row): a Hamilton path from the
+    heuristic (a valid certificate) if it finds one, else the DP's.
     """
-    found = _rotation_heuristic(adj, m, deadline) if use_heuristic else None
-    paths = [found] if found is not None else _quotient_cover(adj, m, dp_limit, deadline)
+    found = _rotation_heuristic(adj, vertices, deadline) if use_heuristic else None
+    paths = [found] if found is not None else _quotient_cover(adj, vertices, dp_limit, deadline)
     if not all((adj[a] >> b) & 1 for path in paths for a, b in zip(path, path[1:])):
         raise InternalError("path cover engine produced an invalid path")
     return paths
@@ -267,6 +263,21 @@ def check_dp_limit(dp_limit: int) -> None:
         raise ValueError(f"dp_limit must be non-negative, got {dp_limit}")
 
 
+def _hamilton_path_on(adj: tuple[int, ...], mask: int, dp_limit: int,
+                      use_heuristic: bool = True,
+                      deadline: float | None = None) -> tuple[int, ...] | None:
+    """A Hamilton path of the subgraph on the vertices of ``mask``, which no
+    outside row reaches, in the graph's own indices; None when absent.
+    """
+    vertices = list(bits(mask))
+    if len(vertices) <= 1:
+        return tuple(vertices)
+    if len(_masked_components(adj, mask)) > 1:
+        return None
+    paths = _cover_component(adj, vertices, dp_limit, use_heuristic, deadline)
+    return tuple(paths[0]) if len(paths) == 1 else None
+
+
 def hamilton_path(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
                   use_heuristic: bool = True,
                   deadline: float | None = None) -> tuple[int, ...] | None:
@@ -276,21 +287,7 @@ def hamilton_path(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
     and the quotient DP exceeds its state limit.
     """
     check_dp_limit(dp_limit)
-    n = graph.n
-    if n == 0:
-        return ()
-    if n == 1:
-        return (0,)
-    if len(connected_components(graph)) > 1:
-        return None
-    paths = _cover_component(graph.adj, n, dp_limit, use_heuristic, deadline)
-    return tuple(paths[0]) if len(paths) == 1 else None
-
-
-def _canonical_path(seq: list[int]) -> tuple[int, ...]:
-    forward = tuple(seq)
-    backward = tuple(reversed(seq))
-    return min(forward, backward)
+    return _hamilton_path_on(graph.adj, graph.full_mask, dp_limit, use_heuristic, deadline)
 
 
 def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
@@ -307,20 +304,18 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
     paths: list[tuple[int, ...]] = []
     components = connected_components(graph)
     for comp in components:
-        m = len(comp)
-        if m == 1:
+        if len(comp) == 1:
             paths.append((comp[0],))
             continue
-        local = _induced_adjacency(graph, comp)
         try:
-            found = _cover_component(local, m, dp_limit, use_heuristic, deadline)
+            found = _cover_component(graph.adj, comp, dp_limit, use_heuristic, deadline)
         except CapacityExceeded as exc:
             raise CapacityExceeded(
                 str(exc),
                 lower_bound=len(components),
                 upper_bound=sum(max(1, len(c) - 1) for c in components),
             ) from exc
-        paths.extend(_canonical_path([comp[i] for i in seq]) for seq in found)
+        paths.extend(min(tuple(seq), tuple(reversed(seq))) for seq in found)
     paths.sort()
     return PathCover(tuple(paths))
 
@@ -347,5 +342,6 @@ def find_complement_p4(graph: Graph) -> tuple[int, int, int, int] | None:
 
 def cut_vertex_component_profile(graph: Graph, v: int) -> list[int]:
     """Sizes of the components of graph - v, descending."""
-    reduced, _ = delete_vertex(graph, v)
-    return [len(c) for c in connected_components(reduced)]
+    if not 0 <= v < graph.n:
+        raise ValueError(f"vertex {v} out of range for {graph.n}-vertex graph")
+    return [len(c) for c in _masked_components(graph.adj, graph.full_mask & ~(1 << v))]

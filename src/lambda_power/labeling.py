@@ -24,7 +24,6 @@ from .groups import (
     make_generalized_quaternion,
 )
 from .invariants import (
-    DEFAULT_CLIQUE_LIMIT,
     DEFAULT_DP_LIMIT,
     _twin_classes,
     check_dp_limit,
@@ -172,8 +171,7 @@ def _greedy_clique(graph: Graph) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def bound_ledger(g: FiniteGroup, graph: Graph | None = None, *,
-                 clique_limit: int = DEFAULT_CLIQUE_LIMIT) -> tuple[Bound, ...]:
+def bound_ledger(g: FiniteGroup, graph: Graph | None = None) -> tuple[Bound, ...]:
     """Every applicable lower and upper bound on the span, tagged by source.
 
     Capacity failures in the clique searches degrade those entries to greedy
@@ -184,7 +182,7 @@ def bound_ledger(g: FiniteGroup, graph: Graph | None = None, *,
     n = g.order
     entries: list[Bound] = []
     try:
-        omega = clique_number(graph, limit=clique_limit)
+        omega = clique_number(graph)
         entries.append(Bound("lower", 2 * omega.value - 2, "clique"))
     except CapacityExceeded:
         witness = _greedy_clique(graph)
@@ -193,7 +191,7 @@ def bound_ledger(g: FiniteGroup, graph: Graph | None = None, *,
     if n >= 2:
         entries.append(Bound("lower", n, "order"))
     try:
-        alpha = independence_number(graph, limit=clique_limit)
+        alpha = independence_number(graph)
         entries.append(Bound("upper", 2 * n - alpha.value - 1, "independence"))
     except CapacityExceeded:
         witness = _greedy_clique(graph.complement)
@@ -285,7 +283,7 @@ def _twin_predecessors(graph: Graph) -> list[int]:
     """
     prev = [-1] * graph.n
     for adj in (graph.adj, graph.complement.adj):
-        for members in _twin_classes(adj)[0]:
+        for members in _twin_classes(adj, range(graph.n))[0]:
             for earlier, v in zip(members, members[1:]):
                 prev[v] = earlier
     return prev
@@ -583,10 +581,6 @@ def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
 # Orchestration
 
 
-def _complete_graph_labeling(graph: Graph) -> Labeling:
-    return _checked(graph, [2 * v for v in range(graph.n)])
-
-
 def _family_witness(g: FiniteGroup, graph: Graph) -> Labeling | None:
     """Constructive witness on ``g``'s power graph, in the constructor's layout.
 
@@ -609,8 +603,6 @@ def _family_witness(g: FiniteGroup, graph: Graph) -> Labeling | None:
 
 def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
                  dp_limit: int = DEFAULT_DP_LIMIT,
-                 backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
-                 clique_limit: int = DEFAULT_CLIQUE_LIMIT,
                  with_witness: bool = True,
                  budget_ms: int | None = None) -> LambdaReport:
     """Exact span of the power graph of ``g`` with witness and provenance.
@@ -627,7 +619,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
     graph = build_power_graph(g)
     prediction = predict_lambda(g)
-    bounds = bound_ledger(g, graph, clique_limit=clique_limit)
+    bounds = bound_ledger(g, graph)
     lower, upper = _bound_window(bounds)
     pinned = lower == upper
     notes: list[str] = []
@@ -642,7 +634,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
         return sub.value, sub.labeling
 
     def solve_backtrack():
-        sub = lambda_backtrack(graph, limit=backtrack_limit, deadline=deadline)
+        sub = lambda_backtrack(graph, deadline=deadline)
         return sub.value, sub.labeling
 
     # (method name, report tag, solver) in the order auto mode tries them.
@@ -687,23 +679,21 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     if with_witness:
         labeling = next((lab for lab in labelings.values() if lab is not None), None)
         if labeling is None:
-            if is_cyclic_prime_power(g):
-                labeling = _complete_graph_labeling(graph)
-            else:
-                labeling = _family_witness(g, graph)
-                if labeling is None:
-                    try:
-                        cover_report = lambda_via_path_cover(graph, dp_limit=dp_limit,
-                                                             deadline=deadline)
-                        if cover_report.value != value:
-                            raise VerificationError(
-                                f"path-cover witness disagrees for {g.descriptor.name}",
-                                values={"ledger": value,
-                                        "path-cover": cover_report.value},
-                            )
-                        labeling = cover_report.labeling
-                    except CapacityExceeded as exc:
-                        notes.append(f"witness unavailable: {exc}")
+            # A complete power graph's edgeless complement gives labels 2v.
+            labeling = _family_witness(g, graph)
+            if labeling is None:
+                try:
+                    cover_report = lambda_via_path_cover(graph, dp_limit=dp_limit,
+                                                         deadline=deadline)
+                    if cover_report.value != value:
+                        raise VerificationError(
+                            f"path-cover witness disagrees for {g.descriptor.name}",
+                            values={"ledger": value,
+                                    "path-cover": cover_report.value},
+                        )
+                    labeling = cover_report.labeling
+                except CapacityExceeded as exc:
+                    notes.append(f"witness unavailable: {exc}")
         # Every producer above validated its labeling on this graph.
         if labeling is not None and labeling.span != value:
             raise InternalError("witness span disagrees with the computed value")

@@ -19,8 +19,8 @@ from .groups import (
     is_prime,
     maximal_cyclic_subgroups,
 )
-from .invariants import DEFAULT_DP_LIMIT, check_dp_limit, hamilton_path
-from .powergraph import build_power_graph, delete_vertex
+from .invariants import DEFAULT_DP_LIMIT, _hamilton_path_on, check_dp_limit
+from .powergraph import build_power_graph
 
 __all__ = [
     "EqualityCheck",
@@ -195,8 +195,7 @@ class EqualityCheck:
 
     ok is None when the Hamilton search was inconclusive. When the span
     equals the group order, ``witness`` holds a Hamilton path of the
-    complement of the identity-deleted power graph, in original element
-    indices.
+    complement of the identity-deleted power graph, in element indices.
     """
 
     ok: bool | None
@@ -210,20 +209,17 @@ def check_lower_equality(g: FiniteGroup, lam: int,
     """Check: span == |G| exactly when the punctured complement is traceable."""
     check_dp_limit(dp_limit)
     graph = build_power_graph(g)
-    reduced, survivors = delete_vertex(graph, graph.identity_vertex or 0)
-    punctured = reduced.complement
+    # The identity dominates, so it is isolated in the complement.
+    punctured = graph.full_mask & ~(1 << (graph.identity_vertex or 0))
     try:
-        path = hamilton_path(punctured, dp_limit=dp_limit)
+        path = _hamilton_path_on(graph.complement.adj, punctured, dp_limit)
     except CapacityExceeded as exc:
         return EqualityCheck(None, lam == g.order, None,
                              f"hamilton search inconclusive: {exc}")
     if path is None:
-        ok = lam != g.order
-        return EqualityCheck(ok, lam == g.order, None,
+        return EqualityCheck(lam != g.order, lam == g.order, None,
                              "punctured complement has no hamilton path")
-    witness = tuple(survivors[v] for v in path)
-    ok = lam == g.order
-    return EqualityCheck(ok, lam == g.order, witness,
+    return EqualityCheck(lam == g.order, lam == g.order, path,
                          "punctured complement is traceable")
 
 

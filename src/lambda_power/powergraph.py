@@ -148,9 +148,9 @@ def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
                  descriptor=graph.descriptor), survivors
 
 
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, largest first."""
-    remaining = graph.full_mask
+def _masked_components(adj: tuple[int, ...], mask: int) -> list[list[int]]:
+    """Vertex sets of the components of the subgraph on ``mask``, largest first."""
+    remaining = mask
     components = []
     while remaining:
         seed = remaining & -remaining
@@ -160,24 +160,21 @@ def connected_components(graph: Graph) -> list[list[int]]:
             comp |= frontier
             reach = 0
             for v in bits(frontier):
-                reach |= graph.adj[v]
-            frontier = reach & ~comp
+                reach |= adj[v]
+            frontier = reach & mask & ~comp
         components.append(sorted(bits(comp)))
         remaining &= ~comp
     components.sort(key=lambda c: (-len(c), c[0]))
     return components
 
 
+def connected_components(graph: Graph) -> list[list[int]]:
+    """Vertex sets of the connected components, largest first."""
+    return _masked_components(graph.adj, graph.full_mask)
+
+
 def diameter_at_most_two(graph: Graph) -> bool:
     """True when every vertex reaches every other in at most two steps."""
-    n = graph.n
-    if n <= 1:
-        return True
     full = graph.full_mask
-    for v in range(n):
-        cover = (1 << v) | graph.adj[v]
-        for u in bits(graph.adj[v]):
-            cover |= graph.adj[u]
-        if cover != full:
-            return False
-    return True
+    return all((1 << v) | row | d2 == full
+               for v, (row, d2) in enumerate(zip(graph.adj, graph.distance_two)))

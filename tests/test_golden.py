@@ -3,8 +3,10 @@
 Each line of ``data/lambda_corpus20.jsonl`` is one ``lambda <spec> --json``
 report with ``runtime_ms`` removed, and each line of
 ``data/invariants_corpus20.jsonl`` one ``invariants <spec> --json`` report,
-both in corpus order. A refactor must leave every line unchanged. After an
-intended output change, rewrite both files with::
+both in corpus order. ``data/enumerate_corpus20.csv`` is the stdout of
+``enumerate --max-order 20``, the one output that reads the lower-equality
+oracle's verdicts; that run must exit 0. A refactor must leave every line
+unchanged. After an intended output change, rewrite all three files with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +23,7 @@ GOLDEN = {
     "lambda": DATA / "lambda_corpus20.jsonl",
     "invariants": DATA / "invariants_corpus20.jsonl",
 }
+ENUMERATE_GOLDEN = DATA / "enumerate_corpus20.csv"
 
 
 def corpus_records(command: str) -> list[str]:
@@ -33,6 +36,13 @@ def corpus_records(command: str) -> list[str]:
         payload.pop("runtime_ms", None)
         records.append(json.dumps({"spec": spec, "exit": code, "report": payload}))
     return records
+
+
+def enumerate_output() -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["enumerate", "--max-order", "20"])
+    return code, out.getvalue()
 
 
 def assert_matches_golden(command: str) -> None:
@@ -51,7 +61,17 @@ def test_invariants_json_matches_golden():
     assert_matches_golden("invariants")
 
 
+def test_enumerate_csv_matches_golden():
+    code, stdout = enumerate_output()
+    assert code == 0
+    assert stdout == ENUMERATE_GOLDEN.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for command, path in GOLDEN.items():
         path.write_text("\n".join(corpus_records(command)) + "\n", encoding="utf-8")
+    code, stdout = enumerate_output()
+    if code != 0:
+        raise SystemExit(f"enumerate exited {code}; golden files not complete")
+    ENUMERATE_GOLDEN.write_text(stdout, encoding="utf-8")

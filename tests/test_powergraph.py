@@ -5,11 +5,13 @@ import pytest
 from lambda_power import (
     Graph,
     build_power_graph,
+    check_lower_equality,
     complement,
     connected_components,
     delete_vertex,
     diameter_at_most_two,
     direct_product,
+    lambda_exact,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -18,6 +20,32 @@ from lambda_power import (
 
 def pg(group):
     return build_power_graph(group)
+
+
+def count_graph_builds(monkeypatch) -> list:
+    """Record every ``Graph`` constructed from now on."""
+    built = []
+    check = Graph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    return built
+
+
+def test_graph_builds_per_question(monkeypatch):
+    # One power graph plus its cached complement: questions about part of
+    # the graph run on these rows instead of on re-indexed copies.
+    group = make_dihedral(12)
+    built = count_graph_builds(monkeypatch)
+    lambda_exact(group)
+    assert len(built) == 2
+    group = make_dihedral(6)
+    built.clear()
+    check_lower_equality(group, 6)
+    assert len(built) == 2
 
 
 def test_z6_adjacency():

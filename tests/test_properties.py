@@ -17,10 +17,14 @@ from lambda_power import (
     clique_number,
     complement,
     connected_components,
+    cut_vertex_component_profile,
+    delete_vertex,
+    diameter_at_most_two,
     hamilton_path,
     lambda_backtrack,
     path_cover_number,
 )
+from lambda_power.invariants import DEFAULT_DP_LIMIT, _hamilton_path_on
 from lambda_power.labeling import _twin_predecessors
 
 
@@ -156,3 +160,35 @@ def test_path_cover_is_canonical(graph):
     second = path_cover_number(graph)
     assert first.paths == second.paths
     assert list(first.paths) == sorted(first.paths)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_diameter_matches_bfs(graph):
+    far = any(d < 0 or d > 2 for v in range(graph.n) for d in bfs_distances(graph, v))
+    assert diameter_at_most_two(graph) == (not far)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_cut_vertex_profile_matches_deleted_copy(graph):
+    for v in range(graph.n):
+        reduced, _ = delete_vertex(graph, v)
+        expected = [len(c) for c in connected_components(reduced)]
+        assert cut_vertex_component_profile(graph, v) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(), st.booleans())
+def test_hamilton_path_over_a_vertex_set_matches_deleted_copy(graph, use_heuristic):
+    # Vertex 0 made dominating is isolated in the complement, so vertices
+    # 1..n-1 form a part of it that no outside row reaches.
+    n = graph.n
+    graph = Graph.from_edges(n, graph.edges() + [(0, v) for v in range(1, n)])
+    reduced, survivors = delete_vertex(graph, 0)
+    expected = hamilton_path(reduced.complement, use_heuristic=use_heuristic)
+    if expected is not None:
+        expected = tuple(survivors[v] for v in expected)
+    found = _hamilton_path_on(graph.complement.adj, graph.full_mask & ~1,
+                              DEFAULT_DP_LIMIT, use_heuristic)
+    assert found == expected
