@@ -3,7 +3,8 @@
 Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
 Constructors validate the table they hand out: exhaustively up to order 64,
-by seeded random sampling above that.
+by seeded random sampling above that. A group builds what depends on it
+alone once, on first use: its maximal cyclic subgroups and its power graph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
+from .powergraph import Graph
 
 DEFAULT_MAX_ORDER = 10000
 
@@ -95,6 +97,21 @@ class FiniteGroup:
         return self.table[a][b]
 
     @cached_property
+    def _power_graph(self) -> Graph:
+        """x != y adjacent iff one is a power of the other; built once."""
+        n = self.order
+        rows = [0] * n
+        for x in range(n):
+            for y in cyclic_subgroup(self, x):
+                if y != x:
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+        graph = Graph(tuple(rows))
+        if n >= 2 and rows[0] != graph.full_mask ^ 1:
+            raise InternalError("identity must be adjacent to every other element")
+        return graph
+
+    @cached_property
     def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
         """All cyclic subgroups maximal under inclusion, largest first; built once."""
         subgroups = {cyclic_subgroup(self, x) for x in range(self.order)}
@@ -142,8 +159,7 @@ def _element_inverses(table, orders) -> tuple[int, ...]:
         y = 0
         for _ in range(orders[x] - 1):
             y = table[y][x]
-        # y = x**(order-1), but we want x**-1 = x**(order-1); same thing
-        inverses.append(y if orders[x] > 1 else x)
+        inverses.append(y)  # x**(order - 1) = x**-1
     return tuple(inverses)
 
 
@@ -215,21 +231,7 @@ def make_dihedral(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if m < 6 or m % 2 != 0:
         raise ValueError("dihedral order must be an even integer >= 6")
     _check_capacity(m, max_order)
-    k = m // 2
-
-    def mul(u: int, v: int) -> int:
-        ur, ui = divmod(u, k)  # ur = 1 for reflections
-        vr, vi = divmod(v, k)
-        if ur == 0 and vr == 0:
-            return (ui + vi) % k
-        if ur == 0:
-            return k + (ui + vi) % k
-        if vr == 0:
-            return k + (ui - vi) % k
-        return (ui - vi) % k
-
-    table = tuple(tuple(mul(u, v) for v in range(m)) for u in range(m))
-    return _finalize(table, GroupDescriptor.atom("dihedral", m))
+    return _finalize(_index_two_table(m // 2, 0), GroupDescriptor.atom("dihedral", m))
 
 
 def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -242,22 +244,24 @@ def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -
     if m < 8 or m % 4 != 0:
         raise ValueError("generalized quaternion order must be a multiple of 4, at least 8")
     _check_capacity(m, max_order)
-    k = m // 4
-    nn = 2 * k  # order of x
+    return _finalize(_index_two_table(m // 2, m // 4), GroupDescriptor.atom("quaternion", m))
+
+
+def _index_two_table(n: int, shift: int) -> tuple[tuple[int, ...], ...]:
+    """x^i at index i and x^i*y at n + i, with x^n = e, y x y^-1 = x^-1 and y^2 = x^shift."""
 
     def mul(u: int, v: int) -> int:
-        ur, ui = divmod(u, nn)
-        vr, vi = divmod(v, nn)
+        ur, ui = divmod(u, n)  # ur = 1 off <x>
+        vr, vi = divmod(v, n)
         if ur == 0 and vr == 0:
-            return (ui + vi) % nn
+            return (ui + vi) % n
         if ur == 0:
-            return nn + (ui + vi) % nn
+            return n + (ui + vi) % n
         if vr == 0:
-            return nn + (ui - vi) % nn
-        return (ui - vi + k) % nn  # (x^a y)(x^b y) = x^(a-b) y^2 = x^(a-b+k)
+            return n + (ui - vi) % n
+        return (ui - vi + shift) % n
 
-    table = tuple(tuple(mul(u, v) for v in range(m)) for u in range(m))
-    return _finalize(table, GroupDescriptor.atom("quaternion", m))
+    return tuple(tuple(mul(u, v) for v in range(2 * n)) for u in range(2 * n))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, *,

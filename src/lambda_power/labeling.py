@@ -171,14 +171,13 @@ def _greedy_clique(graph: Graph) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def bound_ledger(g: FiniteGroup, graph: Graph | None = None) -> tuple[Bound, ...]:
+def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
     """Every applicable lower and upper bound on the span, tagged by source.
 
     Capacity failures in the clique searches degrade those entries to greedy
     witnesses, flagged inexact but still sound as bounds.
     """
-    if graph is None:
-        graph = build_power_graph(g)
+    graph = build_power_graph(g)
     n = g.order
     entries: list[Bound] = []
     try:
@@ -201,7 +200,7 @@ def bound_ledger(g: FiniteGroup, graph: Graph | None = None) -> tuple[Bound, ...
         entries.append(Bound("upper", 2 * n - 4, "not-complete"))
     if find_complement_p4(graph) is not None:
         entries.append(Bound("upper", 2 * n - 5, "complement-p4"))
-    profile = cut_vertex_component_profile(graph, graph.identity_vertex or 0)
+    profile = cut_vertex_component_profile(graph, 0)  # vertex 0 is the identity
     if len(profile) >= 2 and profile[0] <= sum(profile[1:]):
         entries.append(Bound("upper", n, "cut-vertex"))
     if not is_cyclic(g):
@@ -256,7 +255,7 @@ def lambda_via_path_cover(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
     if labeling.span != value:
         raise InternalError("cover labeling span disagrees with the cover count")
     return LambdaReport(
-        group=graph.descriptor or "<graph>",
+        group="<graph>",
         order=n,
         value=value,
         exact=True,
@@ -394,7 +393,7 @@ def lambda_backtrack(graph: Graph, span_budget: int | None = None,
             if labeling.span > k:
                 raise InternalError("search returned labels beyond the span budget")
             return LambdaReport(
-                group=graph.descriptor or "<graph>",
+                group="<graph>",
                 order=n,
                 value=k,
                 exact=True,
@@ -610,7 +609,8 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     Strategy cascade for ``method="auto"``: a pinned bound ledger wins, then
     the path-cover reduction, then backtracking. ``verify=True`` runs every
     applicable method and raises VerificationError on disagreement. When no
-    method fits the limits the report is bounds-only with ``exact=False``.
+    method fits the limits the report is bounds-only with ``exact=False``;
+    refusals go to ``notes``, so CapacityExceeded is never raised.
     """
     if method not in ("auto", "ledger", "pathcover", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
@@ -619,7 +619,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
     graph = build_power_graph(g)
     prediction = predict_lambda(g)
-    bounds = bound_ledger(g, graph)
+    bounds = bound_ledger(g)
     lower, upper = _bound_window(bounds)
     pinned = lower == upper
     notes: list[str] = []

@@ -209,8 +209,8 @@ def check_lower_equality(g: FiniteGroup, lam: int,
     """Check: span == |G| exactly when the punctured complement is traceable."""
     check_dp_limit(dp_limit)
     graph = build_power_graph(g)
-    # The identity dominates, so it is isolated in the complement.
-    punctured = graph.full_mask & ~(1 << (graph.identity_vertex or 0))
+    # The identity (vertex 0) dominates, so it is isolated in the complement.
+    punctured = graph.full_mask & ~1
     try:
         path = _hamilton_path_on(graph.complement.adj, punctured, dp_limit)
     except CapacityExceeded as exc:

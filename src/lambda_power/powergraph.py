@@ -1,18 +1,21 @@
-"""Simple undirected graphs over bitmask adjacency rows; power graph builder.
+"""Simple undirected graphs over bitmask adjacency rows.
 
-Graphs are generic: the solver modules accept any simple graph, not only
-power graphs. Vertices are 0-based; adjacency row v is an int whose bit u
-says u and v are adjacent, so neighborhood intersections are single ANDs.
+A graph is only its rows, and the solver modules accept any simple graph.
+Vertices are 0-based; adjacency row v is an int whose bit u says u and v are
+adjacent, so neighborhood intersections are single ANDs. A group builds its
+power graph once; ``build_power_graph`` hands it out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InternalError
-from .groups import FiniteGroup, cyclic_subgroup
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 __all__ = [
     "Graph",
@@ -35,11 +38,9 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. ``identity_vertex`` is set for power graphs."""
+    """Immutable simple graph, given by its adjacency rows."""
 
     adj: tuple[int, ...]
-    identity_vertex: int | None = None
-    descriptor: str | None = None
 
     def __post_init__(self):
         n = len(self.adj)
@@ -83,7 +84,7 @@ class Graph:
         """Same vertices, edges exactly where this graph has none; built once."""
         full = self.full_mask
         rows = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(self.adj))
-        return Graph(rows, identity_vertex=self.identity_vertex, descriptor=self.descriptor)
+        return Graph(rows)
 
     @cached_property
     def distance_two(self) -> tuple[int, ...]:
@@ -97,32 +98,19 @@ class Graph:
         return tuple(rows)
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]], *,
-                   identity_vertex: int | None = None,
-                   descriptor: str | None = None) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(tuple(rows), identity_vertex=identity_vertex, descriptor=descriptor)
+        return Graph(tuple(rows))
 
 
 def build_power_graph(g: FiniteGroup) -> Graph:
-    """Graph on the group elements; x != y adjacent iff one is a power of the other."""
-    n = g.order
-    rows = [0] * n
-    for x in range(n):
-        members = cyclic_subgroup(g, x)
-        for y in members:
-            if y != x:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    graph = Graph(tuple(rows), identity_vertex=0, descriptor=g.descriptor.name)
-    if n >= 2 and rows[0] != graph.full_mask ^ 1:
-        raise InternalError("identity must be adjacent to every other element")
-    return graph
+    """The group's power graph (x != y adjacent iff one is a power of the other), built once."""
+    return g._power_graph
 
 
 def complement(graph: Graph) -> Graph:
@@ -141,11 +129,7 @@ def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     for u in survivors:
         row = graph.adj[u] & ~(1 << v)
         rows.append((row & low_mask) | ((row >> (v + 1)) << v))
-    identity = graph.identity_vertex
-    if identity is not None:
-        identity = None if identity == v else (identity if identity < v else identity - 1)
-    return Graph(tuple(rows), identity_vertex=identity,
-                 descriptor=graph.descriptor), survivors
+    return Graph(tuple(rows)), survivors
 
 
 def _masked_components(adj: tuple[int, ...], mask: int) -> list[list[int]]:

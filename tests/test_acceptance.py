@@ -231,7 +231,7 @@ def test_criterion_12_bound_sandwich(corpus20):
     for spec, (group, report) in corpus20.items():
         graph = build_power_graph(group)
         n = group.order
-        omega = max(b.value for b in bound_ledger(group, graph) if b.source == "clique")
+        omega = max(b.value for b in bound_ledger(group) if b.source == "clique")
         alpha = independence_number(graph).value
         lower = max(n, omega)  # omega entry already holds 2*clique-2
         if not lower <= report.value <= 2 * n - alpha - 1:

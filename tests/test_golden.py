@@ -5,8 +5,12 @@ report with ``runtime_ms`` removed, and each line of
 ``data/invariants_corpus20.jsonl`` one ``invariants <spec> --json`` report,
 both in corpus order. ``data/enumerate_corpus20.csv`` is the stdout of
 ``enumerate --max-order 20``, the one output that reads the lower-equality
-oracle's verdicts; that run must exit 0. A refactor must leave every line
-unchanged. After an intended output change, rewrite all three files with::
+oracle's verdicts; that run must exit 0. Each line of
+``data/graph_corpus12.jsonl`` holds the exit code and stdout of
+``graph <spec> --format dot`` and ``--format json`` for one order <= 12
+corpus spec, and each line of ``data/verify_families.jsonl`` those of
+``verify <family>`` at its default range. A refactor must leave every line
+unchanged. After an intended output change, rewrite all five files with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +28,9 @@ GOLDEN = {
     "invariants": DATA / "invariants_corpus20.jsonl",
 }
 ENUMERATE_GOLDEN = DATA / "enumerate_corpus20.csv"
+GRAPH_GOLDEN = DATA / "graph_corpus12.jsonl"
+VERIFY_GOLDEN = DATA / "verify_families.jsonl"
+VERIFY_FAMILIES = ("dihedral", "quaternion", "cyclic", "elementary-abelian", "zpqn")
 
 
 def corpus_records(command: str) -> list[str]:
@@ -38,19 +45,44 @@ def corpus_records(command: str) -> list[str]:
     return records
 
 
-def enumerate_output() -> tuple[int, str]:
+def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["enumerate", "--max-order", "20"])
+        code = main(argv)
     return code, out.getvalue()
 
 
-def assert_matches_golden(command: str) -> None:
-    expected = GOLDEN[command].read_text(encoding="utf-8").splitlines()
-    actual = corpus_records(command)
+def enumerate_output() -> tuple[int, str]:
+    return run(["enumerate", "--max-order", "20"])
+
+
+def graph_records() -> list[str]:
+    records = []
+    for spec, _ in builtin_corpus(12):
+        for fmt in ("dot", "json"):
+            code, stdout = run(["graph", spec, "--format", fmt])
+            records.append(json.dumps({"spec": spec, "format": fmt, "exit": code,
+                                       "stdout": stdout}))
+    return records
+
+
+def verify_records() -> list[str]:
+    records = []
+    for family in VERIFY_FAMILIES:
+        code, stdout = run(["verify", family])
+        records.append(json.dumps({"family": family, "exit": code, "stdout": stdout}))
+    return records
+
+
+def assert_lines_equal(path: Path, actual: list[str]) -> None:
+    expected = path.read_text(encoding="utf-8").splitlines()
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         assert got == want
+
+
+def assert_matches_golden(command: str) -> None:
+    assert_lines_equal(GOLDEN[command], corpus_records(command))
 
 
 def test_lambda_json_matches_golden():
@@ -59,6 +91,14 @@ def test_lambda_json_matches_golden():
 
 def test_invariants_json_matches_golden():
     assert_matches_golden("invariants")
+
+
+def test_graph_exports_match_golden():
+    assert_lines_equal(GRAPH_GOLDEN, graph_records())
+
+
+def test_verify_families_match_golden():
+    assert_lines_equal(VERIFY_GOLDEN, verify_records())
 
 
 def test_enumerate_csv_matches_golden():
@@ -71,6 +111,8 @@ if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for command, path in GOLDEN.items():
         path.write_text("\n".join(corpus_records(command)) + "\n", encoding="utf-8")
+    GRAPH_GOLDEN.write_text("\n".join(graph_records()) + "\n", encoding="utf-8")
+    VERIFY_GOLDEN.write_text("\n".join(verify_records()) + "\n", encoding="utf-8")
     code, stdout = enumerate_output()
     if code != 0:
         raise SystemExit(f"enumerate exited {code}; golden files not complete")

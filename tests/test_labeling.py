@@ -30,6 +30,7 @@ from lambda_power import (
     validate_l21,
 )
 from lambda_power import labeling as labeling_module
+from lambda_power.cli import build_group, builtin_corpus, parse_group_spec
 from lambda_power.errors import VerificationError
 
 
@@ -391,19 +392,42 @@ def test_verification_error_type_exists():
     assert err.values == {"a": 1, "b": 2}
 
 
+def test_lambda_exact_never_raises_capacity():
+    # Every solver and witness refusal is caught: with no DP and no time
+    # left, each method and verify setting still ends in a report.
+    groups = [g for _, g in builtin_corpus(10)]
+    groups += [build_group(parse_group_spec(s)) for s in ("D64", "Z2x" * 5 + "Z2", "Z72")]
+    for g in groups:
+        for method in ("auto", "ledger", "pathcover", "backtrack"):
+            for verify in (False, True):
+                report = lambda_exact(g, method=method, verify=verify,
+                                      dp_limit=0, budget_ms=0)
+                assert report.order == g.order
+                assert report.exact == (report.value is not None)
+
+
 @pytest.mark.parametrize("make, order", [(make_dihedral, 12), (make_cyclic, 6)],
                          ids=["D12", "Z6"])
 def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
     # Both are pinned by the ledger and take a family witness, which must be
-    # laid on lambda_exact's own graph rather than on a rebuilt group.
+    # laid on the group's own power graph rather than on a rebuilt group.
+    # ``build_power_graph`` reads the group's cached graph, so count the
+    # graphs constructed: the power graph and its complement.
     group = make(order)
     calls = Counter()
-    for name in ("build_power_graph", "make_cyclic", "make_dihedral",
-                 "make_generalized_quaternion", "validate_l21"):
+    for name in ("make_cyclic", "make_dihedral", "make_generalized_quaternion",
+                 "validate_l21"):
         def counted(*args, _name=name, _fn=getattr(labeling_module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(labeling_module, name, counted)
+    check = Graph.__post_init__
+
+    def constructed(graph):
+        calls["Graph"] += 1
+        check(graph)
+
+    monkeypatch.setattr(Graph, "__post_init__", constructed)
     report = lambda_exact(group)
     assert report.method == "ledger" and report.labeling is not None
-    assert calls == {"build_power_graph": 1, "validate_l21": 1}
+    assert calls == {"Graph": 2, "validate_l21": 1}

@@ -1,5 +1,8 @@
 """Power graph construction, complement, deletion and components."""
 
+import contextlib
+import io
+
 import pytest
 
 from lambda_power import (
@@ -16,6 +19,7 @@ from lambda_power import (
     make_dihedral,
     make_generalized_quaternion,
 )
+from lambda_power.cli import main
 
 
 def pg(group):
@@ -46,6 +50,32 @@ def test_graph_builds_per_question(monkeypatch):
     built.clear()
     check_lower_equality(group, 6)
     assert len(built) == 2
+
+
+def test_power_graph_is_built_once_per_group():
+    group = make_dihedral(10)
+    graph = build_power_graph(group)
+    assert build_power_graph(group) is graph
+    assert build_power_graph(make_dihedral(10)) is not graph
+
+
+def test_power_graph_shared_by_solver_and_oracle(monkeypatch):
+    # lambda_exact and the lower-equality check read one power graph and
+    # one complement of it.
+    group = make_dihedral(12)
+    built = count_graph_builds(monkeypatch)
+    report = lambda_exact(group)
+    check_lower_equality(group, report.value)
+    assert len(built) == 2
+
+
+def test_enumerate_builds_two_graphs_per_row(monkeypatch):
+    built = count_graph_builds(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", "--max-order", "12"]) == 0
+    rows = out.getvalue().splitlines()[1:]
+    assert rows and len(built) == 2 * len(rows)
 
 
 def test_z6_adjacency():
