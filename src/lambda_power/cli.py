@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from . import __version__
 from .errors import CapacityExceeded, GroupSpecError, VerificationError
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -287,7 +288,8 @@ def _print_report(payload: dict, as_json: bool) -> None:
 
 
 class _Cache:
-    """Append-only JSON-lines result cache keyed by spec, method and limits.
+    """Append-only JSON-lines result cache keyed by spec, method, limits and
+    package version, so a solver change never serves a stale result.
 
     A line that is not a ``{"key": ..., "report": {...}}`` record is skipped
     with a warning on stderr.
@@ -362,7 +364,8 @@ def cmd_lambda(args) -> int:
         return 1
     cache = _Cache(args.cache) if args.cache else None
     cache_key = (f"{group.descriptor.name}|method={args.method}|dp={args.dp_limit}"
-                 f"|verify={args.verify}|witness={not args.no_witness}")
+                 f"|verify={args.verify}|witness={not args.no_witness}"
+                 f"|version={__version__}")
     if cache is not None:
         hit = cache.get(cache_key)
         if hit is not None:

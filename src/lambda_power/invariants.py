@@ -244,13 +244,86 @@ def _quotient_cover(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
     return paths
 
 
+def _cover_lower_bound(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """A lower bound on the minimum path cover of the subgraph on ``mask``,
+    and the vertex set S (a mask) that certifies it.
+
+    Orient each of a cover's r paths: its arcs are a matching of
+    |mask| - r edges of the bipartite double cover, so r >= |mask| - nu.
+    S = N(X), for X Koenig's set: the left vertices that alternating paths
+    reach from unmatched left vertices. Deleting S cuts r paths into at most
+    r + |S| pieces, each inside one component of the rest, so
+    r >= c(G[mask] - S) - |S|; and every component needs a path of its own.
+    """
+    mate_left, mate_right = [-1] * len(adj), [-1] * len(adj)
+    matching = 0
+    free_right = mask
+    for v in bits(mask):  # greedy start
+        cand = adj[v] & free_right
+        if cand:
+            low = cand & -cand
+            u = low.bit_length() - 1
+            mate_left[v], mate_right[u] = u, v
+            free_right ^= low
+            matching += 1
+    # One breadth-first alternating search per unmatched left vertex. The
+    # right vertices of a failed search lie on no later augmenting path, so
+    # they stay dead.
+    dead = 0
+    for v in [v for v in bits(mask) if mate_left[v] < 0]:
+        parent: dict[int, int] = {}
+        seen, frontier, end = dead, [v], -1
+        while frontier and end < 0:
+            reached = []
+            for x in frontier:
+                new = adj[x] & mask & ~seen
+                seen |= new
+                for u in bits(new):
+                    parent[u] = x
+                    if mate_right[u] < 0:
+                        end = u
+                        break
+                    reached.append(mate_right[u])
+                if end >= 0:
+                    break
+            frontier = reached
+        if end < 0:
+            dead = seen
+            continue
+        while end >= 0:  # flip the path's edges back to v
+            x = parent[end]
+            prev = mate_left[x]
+            mate_left[x], mate_right[end] = end, x
+            end = prev
+        matching += 1
+    # Koenig's set X, grown from every unmatched left vertex at once; S = N(X).
+    x_set = frontier = sum(1 << v for v in bits(mask) if mate_left[v] < 0)
+    s_set = 0
+    while frontier:
+        reach = 0
+        for x in bits(frontier):
+            reach |= adj[x]
+        new = reach & mask & ~s_set
+        s_set |= new
+        frontier = sum(1 << mate_right[u] for u in bits(new)) & ~x_set
+        x_set |= frontier
+    lb = max(len(_masked_components(adj, mask)),
+             mask.bit_count() - matching,
+             len(_masked_components(adj, mask & ~s_set)) - s_set.bit_count())
+    return lb, s_set
+
+
 def _cover_component(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
                      use_heuristic: bool, deadline: float | None) -> list[list[int]]:
     """Minimum path cover of the connected subgraph on ``vertices`` (ascending,
     at least two, reached by no outside row): a Hamilton path from the
-    heuristic (a valid certificate) if it finds one, else the DP's.
+    heuristic (a valid certificate) if it finds one, else the DP's. The
+    heuristic is skipped when the cover's lower bound is at least 2: no
+    Hamilton path exists there, so it could only miss.
     """
-    found = _rotation_heuristic(adj, vertices, deadline) if use_heuristic else None
+    found = None
+    if use_heuristic and _cover_lower_bound(adj, sum(1 << v for v in vertices))[0] < 2:
+        found = _rotation_heuristic(adj, vertices, deadline)
     paths = [found] if found is not None else _quotient_cover(adj, vertices, dp_limit, deadline)
     if not all((adj[a] >> b) & 1 for path in paths for a, b in zip(path, path[1:])):
         raise InternalError("path cover engine produced an invalid path")
@@ -297,8 +370,9 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
 
     Isolated vertices each contribute a trivial path; every other component
     is settled by the heuristic or the quotient DP. On refusal the bounds
-    are sound: each component needs at least one path, and a connected
-    component of m >= 2 vertices at most m - 1 (one edge plus singletons).
+    are sound: each component needs at least its certified lower bound of
+    paths (one for a singleton), and a connected component of m >= 2
+    vertices at most m - 1 (one edge plus singletons).
     """
     check_dp_limit(dp_limit)
     paths: list[tuple[int, ...]] = []
@@ -312,7 +386,8 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
         except CapacityExceeded as exc:
             raise CapacityExceeded(
                 str(exc),
-                lower_bound=len(components),
+                lower_bound=sum(_cover_lower_bound(graph.adj, sum(1 << v for v in c))[0]
+                                for c in components),
                 upper_bound=sum(max(1, len(c) - 1) for c in components),
             ) from exc
         paths.extend(min(tuple(seq), tuple(reversed(seq))) for seq in found)

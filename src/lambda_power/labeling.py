@@ -25,6 +25,7 @@ from .groups import (
 )
 from .invariants import (
     DEFAULT_DP_LIMIT,
+    _cover_lower_bound,
     _twin_classes,
     check_dp_limit,
     clique_number,
@@ -42,7 +43,13 @@ from .oracle import (
     two_prime_cyclic_params,
     two_prime_cyclic_span,
 )
-from .powergraph import Graph, bits, build_power_graph, diameter_at_most_two
+from .powergraph import (
+    Graph,
+    _masked_components,
+    bits,
+    build_power_graph,
+    diameter_at_most_two,
+)
 
 DEFAULT_BACKTRACK_LIMIT = 20
 
@@ -294,8 +301,6 @@ def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
     adj = graph.adj
     d2 = graph.distance_two
     full = (1 << (k + 1)) - 1
-    if injective and k + 1 < n:
-        return None
     domains = [full] * n
     labels = [-1] * n
     used = 0
@@ -364,6 +369,19 @@ def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
     return None
 
 
+def _scattering_count(graph: Graph, s: int) -> int:
+    """max(c(G'), c(G' - S) - |S|) for G' the complement, counted afresh.
+
+    Every component of G' needs a path of its own, and deleting S cuts a
+    cover of r paths into at most r + |S| pieces, each inside one component
+    of G' - S; so both counts bound r from below, for any vertex set S.
+    """
+    rows = graph.complement.adj
+    full = graph.full_mask
+    return max(len(_masked_components(rows, full)),
+               len(_masked_components(rows, full & ~s)) - s.bit_count())
+
+
 def lambda_backtrack(graph: Graph, span_budget: int | None = None,
                      limit: int = DEFAULT_BACKTRACK_LIMIT,
                      deadline: float | None = None) -> LambdaReport:
@@ -373,6 +391,14 @@ def lambda_backtrack(graph: Graph, span_budget: int | None = None,
     exists, so the first feasible span is the lambda number. Vertices are
     tried by descending degree, labels ascending, with forward checking; on
     diameter <= 2 graphs labels are additionally forced pairwise distinct.
+
+    The deepening starts at 2*omega - 2, and on a diameter <= 2 graph at
+    n + r - 2 for r a certified lower bound on the complement's minimum path
+    cover: labels there are distinct, and each run of consecutive labels is
+    a complement path, so a labeling needs at least r runs and r - 1 gaps.
+    Only the set S of ``_cover_lower_bound`` is taken; r is recounted from
+    S by ``_scattering_count``, which shares no code with the matching or
+    the path-cover DP, so the search stays an independent check.
     """
     started = time.monotonic()
     n = graph.n
@@ -382,7 +408,10 @@ def lambda_backtrack(graph: Graph, span_budget: int | None = None,
         raise CapacityExceeded(f"backtracking limited to {limit} vertices, got {n}")
     injective = diameter_at_most_two(graph)
     omega = clique_number(graph).value
-    lower = max(2 * omega - 2, n - 1 if injective else 0)
+    lower = 2 * omega - 2
+    if injective:
+        certificate = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
+        lower = max(lower, n + _scattering_count(graph, certificate) - 2)
     upper = span_budget if span_budget is not None else 2 * n - 2
     order = _backtrack_order(graph)
     prev_twin = _twin_predecessors(graph)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lambda_power import __version__
 from lambda_power.cli import (
     build_group,
     builtin_corpus,
@@ -304,6 +305,32 @@ def test_corrupt_cache_line_is_skipped_with_warning(tmp_path, capsys):
     assert hit == out
     assert err.count("warning:") == 1
     assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_cache_record_of_another_version_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "lambda", "Z12", "--json", "--cache", str(cache))
+    record = json.loads(cache.read_text(encoding="utf-8"))
+    assert record["key"].endswith(f"|version={__version__}")
+    # the same query answered by another solver version, with a stale value
+    record["key"] = record["key"].replace(f"|version={__version__}", "|version=0.0.0")
+    record["report"]["lambda"] = 99
+    cache.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "lambda", "Z12", "--json", "--cache", str(cache))
+    assert code == 0
+    assert json.loads(out)["lambda"] == 16
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_verify_settles_z2xz2xz5_within_budget(capsys):
+    # backtracking starts at the certified cover bound, so it has no
+    # infeasible spans left to refute
+    code, out, _ = run(capsys, "lambda", "Z2xZ2xZ5", "--verify", "--json",
+                       "--budget-ms", "2000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambda"] == 21  # 5p - 4
+    assert payload["methods_run"] == ["backtrack", "path-cover"]
 
 
 def test_builtin_corpus_shape():

@@ -1,6 +1,7 @@
 """Clique, independence, Hamilton path, path cover and structural probes."""
 
 import time
+from itertools import combinations
 
 import pytest
 
@@ -205,11 +206,33 @@ def test_path_cover_refusal_bounds_are_sound():
     assert info.value.lower_bound <= 5 + 3 * 4 <= info.value.upper_bound
 
 
+def test_path_cover_refusal_reports_the_certified_lower_bound():
+    # 40 twin-free vertices A hanging off 8 vertices B: a path alternates
+    # between the sides, so at least 40 - 8 = 32 paths, and the path
+    # A B A ... B A through all of B plus 31 singletons is such a cover;
+    # the DP is refused, and the refusal reports 32, not one per component
+    sides = [(0,)] + [(i, i + 1) for i in range(7)] + [(7,)]
+    sides += [trio for trio in combinations(range(8), 3)][:31]
+    edges = [(8 + a, b) for a, side in enumerate(sides) for b in side]
+    with pytest.raises(CapacityExceeded) as info:
+        path_cover_number(Graph.from_edges(48, edges))
+    assert info.value.lower_bound == 32 <= info.value.upper_bound
+
+
 def test_deadline_reaches_the_heuristic():
-    # Z2xZ2xZ5's complement: the heuristic misses after thousands of steps
+    # Z48's complement: its 31-vertex component has cover lower bound 1, so
+    # the heuristic runs, and it misses after thousands of steps
+    graph = complement(pg(make_cyclic(48)))
+    with pytest.raises(CapacityExceeded, match="heuristic"):
+        path_cover_number(graph, deadline=time.monotonic() - 1.0)
+
+
+def test_deadline_skips_a_heuristic_that_must_miss():
+    # Z2xZ2xZ5's complement has cover lower bound 2, so no Hamilton path
+    # exists and the heuristic is skipped: the DP is what the deadline stops
     group = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(5))
     graph = complement(pg(group))
-    with pytest.raises(CapacityExceeded, match="heuristic"):
+    with pytest.raises(CapacityExceeded, match="path-cover DP"):
         path_cover_number(graph, deadline=time.monotonic() - 1.0)
 
 

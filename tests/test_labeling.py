@@ -104,6 +104,28 @@ def test_backtrack_matches_brute_on_small_graphs():
         assert check_l21(graph, report.labeling.labels)
 
 
+def test_backtrack_trusts_only_the_recounted_cover_bound(monkeypatch):
+    real = labeling_module._cover_lower_bound
+
+    def inflated(adj, mask):
+        lb, certificate = real(adj, mask)
+        return lb + 5, certificate
+
+    monkeypatch.setattr(labeling_module, "_cover_lower_bound", inflated)
+    for group in (make_cyclic(6), make_dihedral(12), make_generalized_quaternion(12),
+                  direct_product(direct_product(make_cyclic(2), make_cyclic(2)),
+                                 make_cyclic(5))):
+        graph = pg(group)
+        assert lambda_backtrack(graph).value == lambda_via_path_cover(graph).value
+
+
+@pytest.mark.parametrize("spec", ["Q16", "Z2xZ2xZ4", "Z4xZ4"])
+def test_verify_backtracks_where_it_timed_out_before(spec):
+    report = lambda_exact(build_group(parse_group_spec(spec)), verify=True)
+    assert "backtrack" in report.methods_run
+    assert len(report.methods_run) >= 2
+
+
 def test_backtrack_capacity():
     with pytest.raises(CapacityExceeded):
         lambda_backtrack(pg(make_cyclic(21)), limit=20)

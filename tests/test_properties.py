@@ -14,6 +14,7 @@ from oracles import (
 from lambda_power import (
     CapacityExceeded,
     Graph,
+    build_power_graph,
     clique_number,
     complement,
     connected_components,
@@ -24,8 +25,9 @@ from lambda_power import (
     lambda_backtrack,
     path_cover_number,
 )
-from lambda_power.invariants import DEFAULT_DP_LIMIT, _hamilton_path_on
-from lambda_power.labeling import _twin_predecessors
+from lambda_power.cli import builtin_corpus
+from lambda_power.invariants import DEFAULT_DP_LIMIT, _cover_lower_bound, _hamilton_path_on
+from lambda_power.labeling import _scattering_count, _twin_predecessors
 
 
 @st.composite
@@ -144,6 +146,32 @@ def test_quotient_engine_matches_brute_on_twin_blow_ups(graph):
         assert all(graph.adjacent(a, b) for a, b in zip(path, path[1:]))
 
 
+def assert_cover_bounds_below_brute(graph):
+    lb, certificate = _cover_lower_bound(graph.adj, graph.full_mask)
+    # the recount reads the complement of the graph it is given
+    recount = _scattering_count(complement(graph), certificate)
+    assert recount <= lb <= brute_path_cover_count(graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_cover_lower_bound_is_sound(graph):
+    assert_cover_bounds_below_brute(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_blow_ups())
+def test_cover_lower_bound_is_sound_on_twin_blow_ups(graph):
+    assert_cover_bounds_below_brute(graph)
+
+
+def test_cover_lower_bound_is_exact_on_the_corpus():
+    for spec, group in builtin_corpus(48):
+        target = complement(build_power_graph(group))
+        lb = _cover_lower_bound(target.adj, target.full_mask)[0]
+        assert lb == path_cover_number(target).count, spec
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=5))
 def test_backtrack_matches_brute(graph):
@@ -151,6 +179,18 @@ def test_backtrack_matches_brute(graph):
     assert report.value == brute_lambda(graph)
     assert check_l21(graph, report.labeling.labels)
     assert report.labeling.span <= report.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=5))
+def test_backtrack_matches_brute_given_a_dominating_vertex(graph):
+    # diameter <= 2, so the search starts at the certified cover bound
+    n = graph.n + 1
+    graph = Graph.from_edges(n, [(u + 1, v + 1) for u, v in graph.edges()]
+                             + [(0, v) for v in range(1, n)])
+    report = lambda_backtrack(graph)
+    assert report.value == brute_lambda(graph)
+    assert check_l21(graph, report.labeling.labels)
 
 
 @settings(max_examples=80, deadline=None)
