@@ -3,8 +3,10 @@
 Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
 Constructors validate the table they hand out: exhaustively up to order 64,
-by seeded random sampling above that. A group builds what depends on it
-alone once, on first use: its maximal cyclic subgroups and its power graph.
+by seeded random sampling above that. Tables are built a row or a column at
+a time from slices and maps, so their rows share int objects. A group builds
+once, on first use, one walk per distinct cyclic subgroup, and from those
+walks its maximal cyclic subgroups and its power graph.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
-from .powergraph import Graph
+from .powergraph import Graph, bits
 
 DEFAULT_MAX_ORDER = 10000
 
@@ -97,35 +100,58 @@ class FiniteGroup:
         return self.table[a][b]
 
     @cached_property
+    def _cyclic_subgroups(self) -> tuple[list[int], list[int], list[int]]:
+        """Each distinct <x> walked once: the number of <x> for every x, each
+        subgroup's mask, and the generators of every cyclic subgroup containing
+        it (<g> of order o contains exactly the <g^d> with d | o)."""
+        table = self.table
+        number = [-1] * self.order
+        walks, masks, generators = [], [], []
+        for x in range(self.order):
+            if number[x] >= 0:
+                continue
+            powers = [x]  # x, x^2, ..., x^o = e
+            while powers[-1]:
+                powers.append(table[powers[-1]][x])
+            o = len(powers)
+            mask = 0
+            for k, y in enumerate(powers, 1):
+                if gcd(k, o) == 1:
+                    number[y] = len(walks)
+                    mask |= 1 << y
+            generators.append(mask)
+            masks.append(sum(1 << y for y in powers))
+            walks.append(powers)
+        above = [0] * len(walks)
+        for powers, mask in zip(walks, generators):
+            for d in range(1, len(powers) + 1):
+                if len(powers) % d == 0:
+                    above[number[powers[d - 1]]] |= mask
+        return number, masks, above
+
+    @cached_property
     def _power_graph(self) -> Graph:
-        """x != y adjacent iff one is a power of the other; built once."""
-        n = self.order
-        rows = [0] * n
-        for x in range(n):
-            for y in cyclic_subgroup(self, x):
-                if y != x:
-                    rows[x] |= 1 << y
-                    rows[y] |= 1 << x
-        graph = Graph(tuple(rows))
-        if n >= 2 and rows[0] != graph.full_mask ^ 1:
+        """x != y adjacent iff one is a power of the other; built once. Row x
+        is <x> plus the generators of every cyclic subgroup containing <x>, less x."""
+        number, masks, above = self._cyclic_subgroups
+        rows = tuple((masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(number))
+        graph = Graph(rows)
+        if self.order >= 2 and rows[0] != graph.full_mask ^ 1:
             raise InternalError("identity must be adjacent to every other element")
         return graph
 
     @cached_property
     def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
-        """All cyclic subgroups maximal under inclusion, largest first; built once."""
-        subgroups = {cyclic_subgroup(self, x) for x in range(self.order)}
-        maximal = [s for s in subgroups if not any(s < t for t in subgroups)]
+        """All cyclic subgroups maximal under inclusion, largest first; built once.
+        They cover the group, so they meet only in e iff sum(size - 1) = n - 1."""
+        _, masks, above = self._cyclic_subgroups  # maximal: nothing above lies outside
+        maximal = [frozenset(bits(m)) for m, a in zip(masks, above) if not a & ~m]
         maximal.sort(key=lambda s: (-len(s), sorted(s)))
-        pairwise = all(
-            len(maximal[i] & maximal[j]) == 1
-            for i in range(len(maximal))
-            for j in range(i + 1, len(maximal))
-        )
+        sizes = tuple(len(s) for s in maximal)
         return MaximalCyclicDecomposition(
             subgroups=tuple(maximal),
-            sizes=tuple(len(s) for s in maximal),
-            pairwise_trivial=pairwise,
+            sizes=sizes,
+            pairwise_trivial=sum(sizes) - len(sizes) == self.order - 1,
         )
 
 
@@ -142,25 +168,21 @@ class MaximalCyclicDecomposition:
     pairwise_trivial: bool
 
 
-def _element_orders(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    orders = []
+def _orders_and_inverses(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """One power walk per cyclic subgroup: if x has order o, then x^k has
+    order o / gcd(k, o) and inverse x^(o-k)."""
+    orders, inverses = [0] * len(table), [0] * len(table)
     for x in range(len(table)):
-        k, y = 1, x
-        while y != 0:
-            y = table[y][x]
-            k += 1
-        orders.append(k)
-    return tuple(orders)
-
-
-def _element_inverses(table, orders) -> tuple[int, ...]:
-    inverses = []
-    for x in range(len(table)):
-        y = 0
-        for _ in range(orders[x] - 1):
-            y = table[y][x]
-        inverses.append(y)  # x**(order - 1) = x**-1
-    return tuple(inverses)
+        if orders[x]:
+            continue
+        powers = [x]  # x, x^2, ..., x^o = e; a broken table stops at n + 1 terms
+        while powers[-1] and len(powers) <= len(table):
+            powers.append(table[powers[-1]][x])
+        o = len(powers)
+        for k, y in enumerate(powers, 1):
+            orders[y] = o // gcd(k, o)
+            inverses[y] = powers[o - k - 1]
+    return tuple(orders), tuple(inverses)
 
 
 def _validate_table(group: FiniteGroup) -> None:
@@ -194,12 +216,12 @@ def _validate_table(group: FiniteGroup) -> None:
 
 
 def _finalize(table: tuple[tuple[int, ...], ...], descriptor: GroupDescriptor) -> FiniteGroup:
-    orders = _element_orders(table)
+    orders, inverses = _orders_and_inverses(table)
     group = FiniteGroup(
         order=len(table),
         table=table,
         orders=orders,
-        inverses=_element_inverses(table, orders),
+        inverses=inverses,
         descriptor=descriptor,
     )
     _validate_table(group)
@@ -218,8 +240,8 @@ def make_cyclic(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be a positive integer")
     _check_capacity(n, max_order)
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return _finalize(table, GroupDescriptor.atom("cyclic", n))
+    twice = tuple(range(n)) * 2
+    return _finalize(tuple(twice[a:a + n] for a in range(n)), GroupDescriptor.atom("cyclic", n))
 
 
 def make_dihedral(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -248,20 +270,15 @@ def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -
 
 
 def _index_two_table(n: int, shift: int) -> tuple[tuple[int, ...], ...]:
-    """x^i at index i and x^i*y at n + i, with x^n = e, y x y^-1 = x^-1 and y^2 = x^shift."""
+    """x^i at index i and x^i*y at n + i, with x^n = e, y x y^-1 = x^-1 and y^2 = x^shift.
 
-    def mul(u: int, v: int) -> int:
-        ur, ui = divmod(u, n)  # ur = 1 off <x>
-        vr, vi = divmod(v, n)
-        if ur == 0 and vr == 0:
-            return (ui + vi) % n
-        if ur == 0:
-            return n + (ui + vi) % n
-        if vr == 0:
-            return n + (ui - vi) % n
-        return (ui - vi + shift) % n
-
-    return tuple(tuple(mul(u, v) for v in range(2 * n)) for u in range(2 * n))
+    Rows are slices: x^i * x^j (y) = x^(i+j) (y); reversed, x^i y * x^j (y) = x^(i-j) y (x^shift).
+    """
+    powers, coset = tuple(range(n)) * 2, tuple(range(n, 2 * n)) * 2
+    forward = [powers[i:i + n] + coset[i:i + n] for i in range(n)]
+    reflected = [coset[i + n:i:-1] + powers[(i + shift) % n + n:(i + shift) % n:-1]
+                 for i in range(n)]
+    return tuple(forward + reflected)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, *,
@@ -341,12 +358,11 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
     identity = tuple(range(domain))
     elements = [identity]
     index = {identity: 0}
-    pos = 0
-    while pos < len(elements):
-        current = elements[pos]
-        pos += 1
-        for gen in gens:
-            composed = tuple(current[gen[i]] for i in range(domain))
+    right: list[list[int]] = [[] for _ in gens]  # right[k][x]: element x times gens[k]
+    found_by = []  # (parent, k) of element 1, 2, ...: element = parent * gens[k]
+    for pos, current in enumerate(elements):  # grows while it is walked
+        for k, gen in enumerate(gens):
+            composed = tuple(map(current.__getitem__, gen))
             if composed not in index:
                 if len(elements) >= max_order:
                     raise CapacityExceeded(
@@ -354,12 +370,14 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
                     )
                 index[composed] = len(elements)
                 elements.append(composed)
+                found_by.append((pos, k))
+            right[k].append(index[composed])
 
-    table = tuple(
-        tuple(index[tuple(a[b[i]] for i in range(domain))] for b in elements)
-        for a in elements
-    )
-    return _finalize(table, descriptor)
+    # a * (p * g) = (a * p) * g: column j is column parent(j) times its generator.
+    columns = [tuple(range(len(elements)))]
+    for parent, k in found_by:
+        columns.append(tuple(map(right[k].__getitem__, columns[parent])))
+    return _finalize(tuple(zip(*columns)), descriptor)
 
 
 def from_descriptor(descriptor: GroupDescriptor, *,

@@ -59,12 +59,16 @@ class PathCover:
 
 
 def clique_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedValue:
-    """Maximum clique via branch and bound with greedy-coloring upper bounds."""
+    """Maximum clique; the search runs once per graph, after the limit check."""
     n = graph.n
     if n > limit:
         raise CapacityExceeded(f"exact clique search limited to {limit} vertices, got {n}")
-    if n == 0:
-        return WitnessedValue(0, (), "clique")
+    best = graph._maximum_clique
+    return WitnessedValue(best.bit_count(), tuple(bits(best)), "clique")
+
+
+def _clique_search(graph: Graph) -> int:
+    """Mask of a maximum clique: branch and bound with greedy-coloring upper bounds."""
     adj = graph.adj
     best_size = 0
     best_mask = 0
@@ -97,7 +101,7 @@ def clique_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedV
             cand &= ~self_bit
 
     expand(0, 0, graph.full_mask)
-    return WitnessedValue(best_size, tuple(bits(best_mask)), "clique")
+    return best_mask
 
 
 def independence_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedValue:

@@ -104,18 +104,17 @@ def validate_l21(graph: Graph, labeling: Labeling) -> ValidationReport:
             f"labeling has {len(labeling.labels)} entries for a {graph.n}-vertex graph"
         )
     labels = labeling.labels
+    masks: dict[int, int] = {}  # label -> its vertices
+    for v, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << v
     violations = []
-    for u in range(graph.n):
-        for offset in bits(graph.adj[u] >> (u + 1)):
-            v = u + 1 + offset
-            if abs(labels[u] - labels[v]) < 2:
-                violations.append(LabelingViolation(u, v, "adjacent-gap"))
-    d2 = graph.distance_two
-    for u in range(graph.n):
-        for offset in bits(d2[u] >> (u + 1)):
-            v = u + 1 + offset
-            if labels[u] == labels[v]:
-                violations.append(LabelingViolation(u, v, "distance2-equal"))
+    for u, label in enumerate(labels):
+        near = masks.get(label - 1, 0) | masks[label] | masks.get(label + 1, 0)
+        for offset in bits((graph.adj[u] & near) >> (u + 1)):
+            violations.append(LabelingViolation(u, u + 1 + offset, "adjacent-gap"))
+    for u, (label, row) in enumerate(zip(labels, graph.distance_two)):
+        for offset in bits((row & masks[label]) >> (u + 1)):
+            violations.append(LabelingViolation(u, u + 1 + offset, "distance2-equal"))
     return ValidationReport(not violations, tuple(violations))
 
 

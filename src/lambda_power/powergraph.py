@@ -3,7 +3,8 @@
 A graph is only its rows, and the solver modules accept any simple graph.
 Vertices are 0-based; adjacency row v is an int whose bit u says u and v are
 adjacent, so neighborhood intersections are single ANDs. A group builds its
-power graph once; ``build_power_graph`` hands it out.
+power graph once; ``build_power_graph`` hands it out. Every construction
+checks its rows, symmetry against their transpose (about n log n big-int ops).
 """
 
 from __future__ import annotations
@@ -36,22 +37,48 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose(rows: tuple[int, ...]) -> list[int]:
+    """Bit u of row v of the result is bit v of ``rows[u]`` (bits below n only).
+
+    Round j swaps bit j of the row and column index by exchanging the j-wide
+    off-diagonal blocks of every 2j-square block, a whole row pair at a time.
+    """
+    n = len(rows)
+    size = 1 << (n - 1).bit_length() if n else 0
+    a = [row & ((1 << n) - 1) for row in rows] + [0] * (size - n)
+    j = size >> 1
+    while j:
+        low = ((1 << size) - 1) // ((1 << 2 * j) - 1) * ((1 << j) - 1)  # column bit j clear
+        for base in range(0, size, 2 * j):
+            for k in range(base, base + j):
+                t = ((a[k] >> j) ^ a[k + j]) & low
+                a[k] ^= t << j
+                a[k + j] ^= t
+        j >>= 1
+    return a[:n]
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph, given by its adjacency rows."""
+    """Immutable simple graph, given by its adjacency rows.
+
+    Every construction checks the rows: below n, loop-free, and symmetric, by
+    their transpose; the first bad (v, u) is the lowest u of row v not in column v.
+    """
 
     adj: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.adj)
-        for v, row in enumerate(self.adj):
+        for v, (row, column) in enumerate(zip(self.adj, _transpose(self.adj))):
             if row >> n:
                 raise InternalError(f"adjacency row {v} mentions vertices >= {n}")
             if (row >> v) & 1:
                 raise InternalError(f"vertex {v} is adjacent to itself")
-            for u in bits(row):
-                if not (self.adj[u] >> v) & 1:
-                    raise InternalError(f"adjacency not symmetric at ({v}, {u})")
+            stray = row & ~column
+            if stray:
+                u = (stray & -stray).bit_length() - 1
+                raise InternalError(f"adjacency not symmetric at ({v}, {u})")
 
     @property
     def n(self) -> int:
@@ -88,14 +115,24 @@ class Graph:
 
     @cached_property
     def distance_two(self) -> tuple[int, ...]:
-        """Row v: the vertices at distance exactly two from v; built once."""
+        """Row v: the vertices at distance exactly two from v; built once. Neighbour
+        rows are OR-ed in until nothing is left to add (on a power graph: the identity's)."""
         rows = []
         for v, row in enumerate(self.adj):
+            rest = self.full_mask & ~row & ~(1 << v)
             reach = 0
             for u in bits(row):
                 reach |= self.adj[u]
-            rows.append(reach & ~row & ~(1 << v))
+                if not rest & ~reach:
+                    break
+            rows.append(reach & rest)
         return tuple(rows)
+
+    @cached_property
+    def _maximum_clique(self) -> int:
+        """Vertex mask of a maximum clique (``clique_number``); searched once."""
+        from .invariants import _clique_search  # invariants builds on this module
+        return _clique_search(self)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

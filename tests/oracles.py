@@ -3,7 +3,9 @@
 Nothing here shares code with the solvers: cliques come from subset
 enumeration, Hamilton paths from pruned sequence enumeration, path covers
 from explicit set-partition enumeration and spans from exhaustive label
-assignment over breadth-first distances.
+assignment over breadth-first distances. The row check and the labeling
+check are the per-edge and per-pair scans that the row-at-a-time kernels
+of ``Graph`` and ``validate_l21`` must agree with.
 """
 
 from __future__ import annotations
@@ -170,3 +172,54 @@ def brute_lambda(graph: Graph, max_span: int | None = None) -> int:
         if assign(0, [], k):
             return k
     raise AssertionError("no labeling found within the trivial upper bound")
+
+
+def reference_row_check(rows: tuple[int, ...] | list[int]) -> str | None:
+    """Per-edge scan of adjacency rows: the message of the first fault, or None."""
+    n = len(rows)
+    for v, row in enumerate(rows):
+        if row >> n:
+            return f"adjacency row {v} mentions vertices >= {n}"
+        if (row >> v) & 1:
+            return f"vertex {v} is adjacent to itself"
+        for u in bits(row):
+            if not (rows[u] >> v) & 1:
+                return f"adjacency not symmetric at ({v}, {u})"
+    return None
+
+
+def reference_violations(graph: Graph, labels) -> list[tuple[int, int, str]]:
+    """Pair scan over breadth-first distances: every adjacent pair u < v with
+    labels closer than 2, then every distance-2 pair with equal labels."""
+    dists = [bfs_distances(graph, u) for u in range(graph.n)]
+    pairs = list(combinations(range(graph.n), 2))
+    return ([(u, v, "adjacent-gap") for u, v in pairs
+             if dists[u][v] == 1 and abs(labels[u] - labels[v]) < 2]
+            + [(u, v, "distance2-equal") for u, v in pairs
+               if dists[u][v] == 2 and labels[u] == labels[v]])
+
+
+def power_walk(table) -> tuple[list[int], list[int]]:
+    """Orders and inverses by walking x, x^2, ... for every element x."""
+    orders, inverses = [], []
+    for x in range(len(table)):
+        powers = [x]
+        while powers[-1] != 0:
+            powers.append(table[powers[-1]][x])
+        orders.append(len(powers))
+        inverses.append(powers[-2] if len(powers) > 1 else 0)
+    return orders, inverses
+
+
+def composed_permutation_table(generators) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of the group generated by 1-based image tuples, indexed
+    breadth-first from the identity, with every product composed directly."""
+    identity = tuple(range(1, len(generators[0]) + 1))
+    perms, index = [identity], {identity: 0}
+    for current in perms:
+        for gen in generators:
+            composed = tuple(current[g - 1] for g in gen)
+            if composed not in index:
+                index[composed] = len(perms)
+                perms.append(composed)
+    return tuple(tuple(index[tuple(a[i - 1] for i in b)] for b in perms) for a in perms)

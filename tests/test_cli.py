@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lambda_power import __version__
+from lambda_power import __version__, invariants
 from lambda_power.cli import (
     build_group,
     builtin_corpus,
@@ -265,6 +265,24 @@ def test_cmd_enumerate(capsys):
     assert lam["Z8"] == 14
     assert lam["Z2xZ2xZ2"] == 8
     assert all(row[4] in ("ok", "n/a") for row in rows.values())
+
+
+def test_enumerate_runs_one_clique_search_per_graph(capsys, monkeypatch):
+    # The alpha column, the bound ledger and the lower-equality check all
+    # ask about the same power graph and complement; each is searched once.
+    searched = []
+    search = invariants._clique_search
+
+    def counting(graph):
+        searched.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(invariants, "_clique_search", counting)
+    code, out, _ = run(capsys, "enumerate", "--max-order", "12")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(searched) == 2 * len(rows)
+    assert len({id(graph) for graph in searched}) == len(searched)
 
 
 def test_cmd_enumerate_caps_order(capsys):

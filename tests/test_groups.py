@@ -2,8 +2,11 @@
 
 import pytest
 
+from oracles import composed_permutation_table
+
 from lambda_power import (
     CapacityExceeded,
+    InternalError,
     cyclic_subgroup,
     direct_product,
     element_order,
@@ -15,6 +18,7 @@ from lambda_power import (
     maximal_cyclic_subgroups,
     permutation_from_cycles,
 )
+from lambda_power.groups import GroupDescriptor, _finalize
 
 A5_IMAGES = [permutation_from_cycles([(1, 2, 3, 4, 5)]),
              permutation_from_cycles([(1, 2, 3)])]
@@ -227,6 +231,50 @@ def test_group_axioms_exhaustively():
         if n <= 64:
             assert all(table[table[a][b]][c] == table[a][table[b][c]]
                        for a in range(n) for b in range(n) for c in range(n))
+
+
+def index_two_product(n: int, shift: int, u: int, v: int) -> int:
+    """x^i at index i and x^i y at n + i, with y x^j = x^-j y and y^2 = x^shift."""
+    (ur, ui), (vr, vi) = divmod(u, n), divmod(v, n)
+    if not ur:
+        return vr * n + (ui + vi) % n  # x^i x^j (y) = x^(i+j) (y)
+    if not vr:
+        return n + (ui - vi) % n  # x^i y x^j = x^(i-j) y
+    return (ui - vi + shift) % n  # x^i y x^j y = x^(i-j+shift)
+
+
+def test_tables_match_their_closure_definitions():
+    for n in range(1, 201):
+        assert make_cyclic(n).table == tuple(
+            tuple((a + b) % n for b in range(n)) for a in range(n))
+    for m in range(6, 201, 2):
+        k = m // 2
+        assert make_dihedral(m).table == tuple(
+            tuple(index_two_product(k, 0, u, v) for v in range(m)) for u in range(m))
+    for m in range(8, 201, 4):
+        k = m // 2
+        assert make_generalized_quaternion(m).table == tuple(
+            tuple(index_two_product(k, m // 4, u, v) for v in range(m)) for u in range(m))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_symmetric_group_tables_match_composition(degree):
+    images = [permutation_from_cycles([tuple(range(1, degree + 1))]),
+              permutation_from_cycles([(1, 2)], degree)]
+    group = from_permutations(images)
+    assert group.order == [1, 1, 2, 6, 24, 120][degree]
+    assert group.table == composed_permutation_table(group.descriptor.params)
+
+
+def test_a5_table_matches_composition():
+    group = from_permutations(A5_IMAGES)
+    assert group.table == composed_permutation_table(group.descriptor.params)
+
+
+def test_table_whose_powers_never_reach_the_identity_is_refused():
+    # x * x = x: the power walk stops after n + 1 terms and validation fails.
+    with pytest.raises(InternalError):
+        _finalize(((0, 1), (1, 1)), GroupDescriptor.atom("cyclic", 2))
 
 
 def test_permutation_from_cycles_validation():

@@ -1,5 +1,7 @@
 """Property-based checks of the solvers against the brute-force references."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -9,11 +11,17 @@ from oracles import (
     brute_max_clique,
     brute_path_cover_count,
     check_l21,
+    composed_permutation_table,
+    power_walk,
+    reference_row_check,
+    reference_violations,
 )
 
 from lambda_power import (
     CapacityExceeded,
     Graph,
+    InternalError,
+    Labeling,
     build_power_graph,
     clique_number,
     complement,
@@ -24,8 +32,10 @@ from lambda_power import (
     hamilton_path,
     lambda_backtrack,
     path_cover_number,
+    validate_l21,
 )
 from lambda_power.cli import builtin_corpus
+from lambda_power.groups import _orders_and_inverses, from_permutations
 from lambda_power.invariants import DEFAULT_DP_LIMIT, _cover_lower_bound, _hamilton_path_on
 from lambda_power.labeling import _scattering_count, _twin_predecessors
 
@@ -63,6 +73,102 @@ def test_distance_two_rows_match_bfs(graph):
     for v in range(graph.n):
         dist = bfs_distances(graph, v)
         assert graph.distance_two[v] == sum(1 << u for u, d in enumerate(dist) if d == 2)
+
+
+def random_rows(rng: random.Random, n: int) -> list[int]:
+    """Symmetric, loop-free rows of a random graph with a random edge density."""
+    density = rng.random()
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+@st.composite
+def corrupted_rows(draw):
+    # Widths to 200 take rows past one 30-bit and one 64-bit digit.
+    n = draw(st.integers(min_value=1, max_value=200))
+    rows = random_rows(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        fault = draw(st.sampled_from(["asymmetric", "self-loop", "out-of-range"]))
+        if fault == "asymmetric" and n >= 2:
+            u = draw(st.integers(min_value=0, max_value=n - 2))
+            rows[v] ^= 1 << (u + (u >= v))
+        elif fault == "self-loop":
+            rows[v] |= 1 << v
+        elif fault == "out-of-range":
+            rows[v] |= 1 << (n + draw(st.integers(min_value=0, max_value=70)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_rows())
+def test_graph_row_check_matches_per_edge_scan(rows):
+    try:
+        Graph(tuple(rows))
+        message = None
+    except InternalError as exc:
+        message = str(exc)
+    assert message == reference_row_check(rows)
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = random_rows(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n)
+    # Few labels for many vertices, so equal and adjacent labels collide.
+    top = draw(st.integers(min_value=0, max_value=n + 2))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=n, max_size=n))
+    return Graph(tuple(rows)), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_graphs())
+def test_validate_l21_matches_pair_scan(case):
+    graph, labels = case
+    report = validate_l21(graph, Labeling(tuple(labels)))
+    found = [(x.u, x.v, x.kind) for x in report.violations]
+    assert found == reference_violations(graph, labels)
+    assert report.ok == (not found) == check_l21(graph, labels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_distance_two_rows_match_bfs_with_a_dominating_vertex(graph, data):
+    # The early stop fires once the dominating vertex's row is OR-ed in.
+    n = graph.n + 1
+    top = data.draw(st.integers(min_value=0, max_value=n - 1))
+    old = [v for v in range(n) if v != top]  # old vertex i is new vertex old[i]
+    graph = Graph.from_edges(n, [(old[u], old[v]) for u, v in graph.edges()]
+                             + [(top, v) for v in old])
+    for v in range(n):
+        dist = bfs_distances(graph, v)
+        assert graph.distance_two[v] == sum(1 << u for u, d in enumerate(dist) if d == 2)
+
+
+@st.composite
+def permutation_groups(draw):
+    degree = draw(st.integers(min_value=1, max_value=5))
+    images = st.permutations(range(1, degree + 1)).map(tuple)
+    return from_permutations(draw(st.lists(images, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(permutation_groups(),
+                 st.deferred(lambda: st.sampled_from([g for _, g in builtin_corpus(40)]))))
+def test_orders_and_inverses_match_a_power_walk(group):
+    orders, inverses = power_walk(group.table)
+    assert _orders_and_inverses(group.table) == (tuple(orders), tuple(inverses))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_groups())
+def test_permutation_table_matches_composition(group):
+    assert group.table == composed_permutation_table(group.descriptor.params)
 
 
 @settings(max_examples=120, deadline=None)
