@@ -7,8 +7,8 @@ Spec grammar (whitespace-insensitive between tokens)::
              | "perm:" cycles ( ";" cycles )*
     cycles  := ( "(" int+ ")" )+        disjoint cycles, 1-based
 
-Exit codes: 0 exact, 1 error, 2 inexact (bounds only), 3 verification
-mismatch.
+Exit codes: 0 exact, 1 error (a usage error too), 2 inexact (bounds only),
+3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from . import __version__
 from .errors import CapacityExceeded, GroupSpecError, VerificationError
 from .groups import (
-    DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupDescriptor,
     _check_capacity,
@@ -32,7 +31,6 @@ from .groups import (
     permutation_from_cycles,
 )
 from .invariants import (
-    DEFAULT_DP_LIMIT,
     clique_number,
     cut_vertex_component_profile,
     find_complement_p4,
@@ -166,13 +164,12 @@ def canonical_spec(descriptor: GroupDescriptor) -> str:
     return descriptor.name
 
 
-def build_group(descriptor: GroupDescriptor, *,
-                max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    return from_descriptor(descriptor, max_order=max_order)
+def build_group(descriptor: GroupDescriptor) -> FiniteGroup:
+    return from_descriptor(descriptor)
 
 
-def group_from_text(text: str, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    return build_group(parse_group_spec(text), max_order=max_order)
+def group_from_text(text: str) -> FiniteGroup:
+    return build_group(parse_group_spec(text))
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +212,21 @@ def _abelian_specs(order: int) -> list[str]:
     return sorted(set(specs))
 
 
-def builtin_corpus(max_order: int) -> list[tuple[str, FiniteGroup]]:
-    """Cyclic, abelian, dihedral and generalized quaternion groups up to a cap.
+def builtin_corpus(cap: int) -> list[tuple[str, FiniteGroup]]:
+    """Cyclic, abelian, dihedral and generalized quaternion groups up to order ``cap``.
 
     Other nonabelian groups are out of corpus; supply them explicitly as
     permutation generators instead.
     """
     entries: list[tuple[str, FiniteGroup]] = []
-    for n in range(2, max_order + 1):
+    for n in range(2, cap + 1):
         entries.append((f"Z{n}", make_cyclic(n)))
-    for n in range(4, max_order + 1):
+    for n in range(4, cap + 1):
         for spec in _abelian_specs(n):
             entries.append((spec, group_from_text(spec)))
-    for m in range(6, max_order + 1, 2):
+    for m in range(6, cap + 1, 2):
         entries.append((f"D{m}", make_dihedral(m)))
-    for m in range(8, max_order + 1, 4):
+    for m in range(8, cap + 1, 4):
         entries.append((f"Q{m}", make_generalized_quaternion(m)))
     entries.sort(key=lambda item: (item[1].order, item[0]))
     return entries
@@ -288,7 +285,7 @@ def _print_report(payload: dict, as_json: bool) -> None:
 
 
 class _Cache:
-    """Append-only JSON-lines result cache keyed by spec, method, limits and
+    """Append-only JSON-lines result cache keyed by spec, options and
     package version, so a solver change never serves a stale result.
 
     A line that is not a ``{"key": ..., "report": {...}}`` record is skipped
@@ -334,17 +331,6 @@ class _Cache:
             handle.write("\n")
 
 
-def _dp_limit_default() -> int:
-    env = os.environ.get("LAMBDA_POWER_DP_LIMIT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"warning: LAMBDA_POWER_DP_LIMIT={env!r} is not an integer; "
-                  f"using the default {DEFAULT_DP_LIMIT}", file=sys.stderr)
-    return DEFAULT_DP_LIMIT
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -363,7 +349,7 @@ def cmd_lambda(args) -> int:
     if group is None:
         return 1
     cache = _Cache(args.cache) if args.cache else None
-    cache_key = (f"{group.descriptor.name}|method={args.method}|dp={args.dp_limit}"
+    cache_key = (f"{group.descriptor.name}|method={args.method}"
                  f"|verify={args.verify}|witness={not args.no_witness}"
                  f"|version={__version__}")
     if cache is not None:
@@ -376,7 +362,6 @@ def cmd_lambda(args) -> int:
             group,
             method=args.method,
             verify=args.verify,
-            dp_limit=args.dp_limit,
             with_witness=not args.no_witness,
             budget_ms=args.budget_ms,
         )
@@ -433,7 +418,7 @@ def cmd_verify(args) -> int:
         members = _family_specs(args.family, args.range)
         descriptors = [parse_group_spec(text) for _, text in members]
         for order, _ in members:  # refuse before the first row is printed
-            _check_capacity(order, DEFAULT_MAX_ORDER)
+            _check_capacity(order)
     except (ValueError, CapacityExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -443,7 +428,7 @@ def cmd_verify(args) -> int:
     failed = False
     for descriptor in descriptors:
         group = build_group(descriptor)
-        report = lambda_exact(group, dp_limit=args.dp_limit)
+        report = lambda_exact(group)
         prediction = report.oracle
         solver = report.value if report.exact else None
         if solver is None:
@@ -474,8 +459,7 @@ def cmd_invariants(args) -> int:
     except CapacityExceeded:
         payload["independence_number"] = None
     try:
-        payload["complement_path_cover"] = path_cover_number(
-            graph.complement, dp_limit=args.dp_limit).count
+        payload["complement_path_cover"] = path_cover_number(graph.complement).count
     except CapacityExceeded:
         payload["complement_path_cover"] = None
     payload["identity_deleted_components"] = cut_vertex_component_profile(graph, 0)
@@ -528,7 +512,7 @@ def cmd_enumerate(args) -> int:
     for spec, group in builtin_corpus(args.max_order):
         graph = build_power_graph(group)
         alpha = independence_number(graph).value
-        report = lambda_exact(group, dp_limit=args.dp_limit, with_witness=False)
+        report = lambda_exact(group, with_witness=False)
         lam = report.value if report.exact else None
         alpha2_ok = classify_alpha2(group) == (alpha == 2)
         if lam is None:
@@ -536,7 +520,7 @@ def cmd_enumerate(args) -> int:
                          "ok" if alpha2_ok else "FAIL"))
             failures += 0 if alpha2_ok else 1
             continue
-        lower = check_lower_equality(group, lam, dp_limit=args.dp_limit)
+        lower = check_lower_equality(group, lam)
         lower_status = {True: "ok", False: "FAIL", None: "inconclusive"}[lower.ok]
         if is_cyclic_prime_power(group):
             upper_status = "n/a"
@@ -558,7 +542,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact L(2,1)-labeling spans of power graphs of finite groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    dp_limit = _dp_limit_default()
 
     p_lambda = sub.add_parser("lambda", help="compute the span of one group")
     p_lambda.add_argument("spec")
@@ -569,7 +552,6 @@ def main(argv: list[str] | None = None) -> int:
     p_lambda.add_argument("--json", action="store_true")
     p_lambda.add_argument("--no-witness", action="store_true")
     p_lambda.add_argument("--budget-ms", type=int, default=None)
-    p_lambda.add_argument("--dp-limit", type=int, default=dp_limit)
     p_lambda.add_argument("--cache", default=None)
     p_lambda.set_defaults(func=cmd_lambda)
 
@@ -578,13 +560,11 @@ def main(argv: list[str] | None = None) -> int:
                                              "elementary-abelian", "zpqn"])
     p_verify.add_argument("range", nargs="?", default="")
     p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--dp-limit", type=int, default=dp_limit)
     p_verify.set_defaults(func=cmd_verify)
 
     p_inv = sub.add_parser("invariants", help="structural probes for one group")
     p_inv.add_argument("spec")
     p_inv.add_argument("--json", action="store_true")
-    p_inv.add_argument("--dp-limit", type=int, default=dp_limit)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_graph = sub.add_parser("graph", help="export the power graph")
@@ -594,13 +574,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_enum = sub.add_parser("enumerate", help="sweep the built-in corpus")
     p_enum.add_argument("--max-order", type=int, default=16)
-    p_enum.add_argument("--dp-limit", type=int, default=dp_limit)
     p_enum.set_defaults(func=cmd_enumerate)
 
-    args = parser.parse_args(argv)
-    if getattr(args, "dp_limit", 0) < 0:
-        print(f"error: --dp-limit must be non-negative, got {args.dp_limit}", file=sys.stderr)
-        return 1
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means inexact here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except BrokenPipeError:

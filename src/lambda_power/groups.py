@@ -228,23 +228,23 @@ def _finalize(table: tuple[tuple[int, ...], ...], descriptor: GroupDescriptor) -
     return group
 
 
-def _check_capacity(order: int, max_order: int) -> None:
-    if order > max_order:
+def _check_capacity(order: int) -> None:
+    if order > DEFAULT_MAX_ORDER:
         raise CapacityExceeded(
-            f"group order {order} exceeds the configured maximum {max_order}"
+            f"group order {order} exceeds the configured maximum {DEFAULT_MAX_ORDER}"
         )
 
 
-def make_cyclic(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_cyclic(n: int) -> FiniteGroup:
     """Additive group on {0..n-1}; element k has order n // gcd(n, k)."""
     if n < 1:
         raise ValueError("cyclic group order must be a positive integer")
-    _check_capacity(n, max_order)
+    _check_capacity(n)
     twice = tuple(range(n)) * 2
     return _finalize(tuple(twice[a:a + n] for a in range(n)), GroupDescriptor.atom("cyclic", n))
 
 
-def make_dihedral(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order m = 2k, k >= 3.
 
     Index layout: rotations a^i at indices 0..k-1, reflections a^i*b at
@@ -252,11 +252,11 @@ def make_dihedral(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """
     if m < 6 or m % 2 != 0:
         raise ValueError("dihedral order must be an even integer >= 6")
-    _check_capacity(m, max_order)
+    _check_capacity(m)
     return _finalize(_index_two_table(m // 2, 0), GroupDescriptor.atom("dihedral", m))
 
 
-def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_generalized_quaternion(m: int) -> FiniteGroup:
     """Generalized quaternion (dicyclic) group of order m = 4k, k >= 2.
 
     Index layout: x^i at indices 0..2k-1, x^i*y at indices 2k..4k-1. The
@@ -265,7 +265,7 @@ def make_generalized_quaternion(m: int, *, max_order: int = DEFAULT_MAX_ORDER) -
     """
     if m < 8 or m % 4 != 0:
         raise ValueError("generalized quaternion order must be a multiple of 4, at least 8")
-    _check_capacity(m, max_order)
+    _check_capacity(m)
     return _finalize(_index_two_table(m // 2, m // 4), GroupDescriptor.atom("quaternion", m))
 
 
@@ -281,11 +281,10 @@ def _index_two_table(n: int, shift: int) -> tuple[tuple[int, ...], ...]:
     return tuple(forward + reflected)
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, *,
-                   max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; pair (a, b) is encoded as a * |h| + b."""
     order = g.order * h.order
-    _check_capacity(order, max_order)
+    _check_capacity(order)
     hn = h.order
     table = tuple(
         tuple(g.table[a1][a2] * hn + h.table[b1][b2] for a2 in range(g.order) for b2 in range(hn))
@@ -344,7 +343,6 @@ def canonical_permutation_name(generators: Sequence[Sequence[int]]) -> str:
 
 
 def from_permutations(generators: Sequence[Sequence[int]], *,
-                      max_order: int = DEFAULT_MAX_ORDER,
                       alias: str | None = None) -> FiniteGroup:
     """Group generated by permutations given as 1-based image sequences.
 
@@ -364,9 +362,9 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
         for k, gen in enumerate(gens):
             composed = tuple(map(current.__getitem__, gen))
             if composed not in index:
-                if len(elements) >= max_order:
+                if len(elements) >= DEFAULT_MAX_ORDER:
                     raise CapacityExceeded(
-                        f"permutation closure exceeds the configured maximum {max_order}"
+                        f"permutation closure exceeds the configured maximum {DEFAULT_MAX_ORDER}"
                     )
                 index[composed] = len(elements)
                 elements.append(composed)
@@ -380,18 +378,16 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
     return _finalize(tuple(zip(*columns)), descriptor)
 
 
-def from_descriptor(descriptor: GroupDescriptor, *,
-                    max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def from_descriptor(descriptor: GroupDescriptor) -> FiniteGroup:
     """Build the group a descriptor names; its descriptor equals the input."""
     family, params = descriptor.family, descriptor.params
     if family == "product":
-        left, right = (from_descriptor(d, max_order=max_order) for d in params)
-        return direct_product(left, right, max_order=max_order)
+        return direct_product(*map(from_descriptor, params))
     if family == "permutation":
-        return from_permutations(params, max_order=max_order, alias=descriptor.name)
+        return from_permutations(params, alias=descriptor.name)
     make = {"cyclic": make_cyclic, "dihedral": make_dihedral,
             "quaternion": make_generalized_quaternion}[family]
-    return make(*params, max_order=max_order)
+    return make(*params)
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
@@ -405,12 +401,8 @@ def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
     """The element set of <x>; its size equals the order of x."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} out of range for order-{g.order} group")
-    members = {0}
-    y = x
-    while y != 0:
-        members.add(y)
-        y = g.table[y][x]
-    return frozenset(members)
+    number, masks, _ = g._cyclic_subgroups
+    return frozenset(bits(masks[number[x]]))
 
 
 def maximal_cyclic_subgroups(g: FiniteGroup) -> MaximalCyclicDecomposition:

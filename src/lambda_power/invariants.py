@@ -2,9 +2,11 @@
 
 Everything here is deterministic: vertex scans ascend, branch orders are
 fixed, and witnesses come out canonical for a given graph. Exact routines
-refuse instances above their configured limits instead of silently guessing;
-the rotation heuristic is only ever used to produce positive Hamilton-path
-certificates, never to conclude absence.
+refuse instances above the module limits instead of silently guessing: the
+clique search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the path-cover DP
+above ``2**DEFAULT_DP_LIMIT`` states. The rotation heuristic is only ever
+used to produce positive Hamilton-path certificates, never to conclude
+absence.
 A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 """
@@ -28,7 +30,6 @@ __all__ = [
     "DEFAULT_DP_LIMIT",
     "PathCover",
     "WitnessedValue",
-    "check_dp_limit",
     "clique_number",
     "cut_vertex_component_profile",
     "find_complement_p4",
@@ -58,11 +59,12 @@ class PathCover:
         return len(self.paths)
 
 
-def clique_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedValue:
+def clique_number(graph: Graph) -> WitnessedValue:
     """Maximum clique; the search runs once per graph, after the limit check."""
     n = graph.n
-    if n > limit:
-        raise CapacityExceeded(f"exact clique search limited to {limit} vertices, got {n}")
+    if n > DEFAULT_CLIQUE_LIMIT:
+        raise CapacityExceeded(
+            f"exact clique search limited to {DEFAULT_CLIQUE_LIMIT} vertices, got {n}")
     best = graph._maximum_clique
     return WitnessedValue(best.bit_count(), tuple(bits(best)), "clique")
 
@@ -104,9 +106,9 @@ def _clique_search(graph: Graph) -> int:
     return best_mask
 
 
-def independence_number(graph: Graph, limit: int = DEFAULT_CLIQUE_LIMIT) -> WitnessedValue:
+def independence_number(graph: Graph) -> WitnessedValue:
     """Maximum independent set, computed as a clique of the complement."""
-    found = clique_number(graph.complement, limit=limit)
+    found = clique_number(graph.complement)
     return WitnessedValue(found.value, found.witness, "independent-set")
 
 
@@ -179,7 +181,7 @@ def _typecode(largest: int) -> str | None:
     return None
 
 
-def _quotient_cover(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
+def _quotient_cover(adj: tuple[int, ...], vertices: list[int],
                     deadline: float | None = None) -> list[list[int]]:
     """Minimum path cover of a connected subgraph on m >= 2 vertices, exact.
 
@@ -188,7 +190,7 @@ def _quotient_cover(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
     fewest further paths once a path starts in r, ``ends[r]`` the classes it
     can start in to get there. After class c, r costs ``best[r]`` when c is
     adjacent to a class of ``ends[r]``, else ``best[r] + 1`` (a new path).
-    Refuses, before allocating, when the states exceed ``2**dp_limit``.
+    Refuses, before allocating, when the states exceed ``2**DEFAULT_DP_LIMIT``.
     """
     m = len(vertices)
     members, qadj = _twin_classes(adj, vertices)
@@ -200,10 +202,10 @@ def _quotient_cover(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
         strides.append(states)
         states *= w + 1
     best_code, ends_code = _typecode(m), _typecode((1 << q) - 1)
-    if (states - 1).bit_length() > dp_limit or ends_code is None:
+    if (states - 1).bit_length() > DEFAULT_DP_LIMIT or ends_code is None:
         raise CapacityExceeded(
             f"path-cover DP over {q} twin classes of {m} vertices needs "
-            f"2^{math.log2(states):.1f} states, over the limit 2^{dp_limit}"
+            f"2^{math.log2(states):.1f} states, over the limit 2^{DEFAULT_DP_LIMIT}"
         )
     best = array(best_code, [0]) * states
     ends = array(ends_code, [0]) * states
@@ -317,8 +319,8 @@ def _cover_lower_bound(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
     return lb, s_set
 
 
-def _cover_component(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
-                     use_heuristic: bool, deadline: float | None) -> list[list[int]]:
+def _cover_component(adj: tuple[int, ...], vertices: list[int],
+                     deadline: float | None) -> list[list[int]]:
     """Minimum path cover of the connected subgraph on ``vertices`` (ascending,
     at least two, reached by no outside row): a Hamilton path from the
     heuristic (a valid certificate) if it finds one, else the DP's. The
@@ -326,22 +328,15 @@ def _cover_component(adj: tuple[int, ...], vertices: list[int], dp_limit: int,
     Hamilton path exists there, so it could only miss.
     """
     found = None
-    if use_heuristic and _cover_lower_bound(adj, sum(1 << v for v in vertices))[0] < 2:
+    if _cover_lower_bound(adj, sum(1 << v for v in vertices))[0] < 2:
         found = _rotation_heuristic(adj, vertices, deadline)
-    paths = [found] if found is not None else _quotient_cover(adj, vertices, dp_limit, deadline)
+    paths = [found] if found is not None else _quotient_cover(adj, vertices, deadline)
     if not all((adj[a] >> b) & 1 for path in paths for a, b in zip(path, path[1:])):
         raise InternalError("path cover engine produced an invalid path")
     return paths
 
 
-def check_dp_limit(dp_limit: int) -> None:
-    """Reject a negative DP limit before any work is done."""
-    if dp_limit < 0:
-        raise ValueError(f"dp_limit must be non-negative, got {dp_limit}")
-
-
-def _hamilton_path_on(adj: tuple[int, ...], mask: int, dp_limit: int,
-                      use_heuristic: bool = True,
+def _hamilton_path_on(adj: tuple[int, ...], mask: int,
                       deadline: float | None = None) -> tuple[int, ...] | None:
     """A Hamilton path of the subgraph on the vertices of ``mask``, which no
     outside row reaches, in the graph's own indices; None when absent.
@@ -351,25 +346,20 @@ def _hamilton_path_on(adj: tuple[int, ...], mask: int, dp_limit: int,
         return tuple(vertices)
     if len(_masked_components(adj, mask)) > 1:
         return None
-    paths = _cover_component(adj, vertices, dp_limit, use_heuristic, deadline)
+    paths = _cover_component(adj, vertices, deadline)
     return tuple(paths[0]) if len(paths) == 1 else None
 
 
-def hamilton_path(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
-                  use_heuristic: bool = True,
-                  deadline: float | None = None) -> tuple[int, ...] | None:
+def hamilton_path(graph: Graph, *, deadline: float | None = None) -> tuple[int, ...] | None:
     """A Hamilton path of the graph, or None when provably absent.
 
     Raises CapacityExceeded (inconclusive) when the heuristic finds nothing
     and the quotient DP exceeds its state limit.
     """
-    check_dp_limit(dp_limit)
-    return _hamilton_path_on(graph.adj, graph.full_mask, dp_limit, use_heuristic, deadline)
+    return _hamilton_path_on(graph.adj, graph.full_mask, deadline)
 
 
-def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
-                      use_heuristic: bool = True,
-                      deadline: float | None = None) -> PathCover:
+def path_cover_number(graph: Graph, *, deadline: float | None = None) -> PathCover:
     """A minimum path cover of the graph, exact.
 
     Isolated vertices each contribute a trivial path; every other component
@@ -378,7 +368,6 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
     paths (one for a singleton), and a connected component of m >= 2
     vertices at most m - 1 (one edge plus singletons).
     """
-    check_dp_limit(dp_limit)
     paths: list[tuple[int, ...]] = []
     components = connected_components(graph)
     for comp in components:
@@ -386,7 +375,7 @@ def path_cover_number(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
             paths.append((comp[0],))
             continue
         try:
-            found = _cover_component(graph.adj, comp, dp_limit, use_heuristic, deadline)
+            found = _cover_component(graph.adj, comp, deadline)
         except CapacityExceeded as exc:
             raise CapacityExceeded(
                 str(exc),

@@ -24,10 +24,8 @@ from .groups import (
     make_generalized_quaternion,
 )
 from .invariants import (
-    DEFAULT_DP_LIMIT,
     _cover_lower_bound,
     _twin_classes,
-    check_dp_limit,
     clique_number,
     cut_vertex_component_profile,
     find_complement_p4,
@@ -237,24 +235,20 @@ def _labeling_from_cover(graph: Graph, cover) -> Labeling:
     return _checked(graph, labels)
 
 
-def lambda_via_path_cover(graph: Graph, dp_limit: int = DEFAULT_DP_LIMIT,
-                          use_heuristic: bool = True,
-                          deadline: float | None = None) -> LambdaReport:
+def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> LambdaReport:
     """Exact span of a diameter <= 2 graph through its complement's path cover.
 
     With r the minimum number of vertex-disjoint paths covering the
     complement, the span is n - 1 when r = 1 and n + r - 2 otherwise; the
     witness walks the complement paths with one skipped label between paths.
     """
-    check_dp_limit(dp_limit)
     started = time.monotonic()
     n = graph.n
     if n == 0:
         raise ValueError("graph must have at least one vertex")
     if not diameter_at_most_two(graph):
         raise ValueError("path-cover method requires a graph of diameter at most 2")
-    cover = path_cover_number(graph.complement, dp_limit=dp_limit,
-                              use_heuristic=use_heuristic, deadline=deadline)
+    cover = path_cover_number(graph.complement, deadline=deadline)
     r = cover.count
     value = n - 1 if r == 1 else n + r - 2
     labeling = _labeling_from_cover(graph, cover)
@@ -381,13 +375,13 @@ def _scattering_count(graph: Graph, s: int) -> int:
                len(_masked_components(rows, full & ~s)) - s.bit_count())
 
 
-def lambda_backtrack(graph: Graph, span_budget: int | None = None,
-                     limit: int = DEFAULT_BACKTRACK_LIMIT,
-                     deadline: float | None = None) -> LambdaReport:
+def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> LambdaReport:
     """Exact span by iterative deepening on the candidate span.
 
     Each deepening step either finds a labeling of that span or proves none
-    exists, so the first feasible span is the lambda number. Vertices are
+    exists, so the first feasible span is the lambda number; the labeling
+    0, 2, ..., 2n - 2 always fits, so the deepening ends there. Graphs above
+    ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. Vertices are
     tried by descending degree, labels ascending, with forward checking; on
     diameter <= 2 graphs labels are additionally forced pairwise distinct.
 
@@ -403,18 +397,18 @@ def lambda_backtrack(graph: Graph, span_budget: int | None = None,
     n = graph.n
     if n == 0:
         raise ValueError("graph must have at least one vertex")
-    if n > limit:
-        raise CapacityExceeded(f"backtracking limited to {limit} vertices, got {n}")
+    if n > DEFAULT_BACKTRACK_LIMIT:
+        raise CapacityExceeded(
+            f"backtracking limited to {DEFAULT_BACKTRACK_LIMIT} vertices, got {n}")
     injective = diameter_at_most_two(graph)
     omega = clique_number(graph).value
     lower = 2 * omega - 2
     if injective:
         certificate = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
         lower = max(lower, n + _scattering_count(graph, certificate) - 2)
-    upper = span_budget if span_budget is not None else 2 * n - 2
     order = _backtrack_order(graph)
     prev_twin = _twin_predecessors(graph)
-    for k in range(lower, upper + 1):
+    for k in range(lower, 2 * n - 1):
         found = _span_feasible(graph, k, order, prev_twin, injective, deadline)
         if found is not None:
             labeling = _checked(graph, found, expected_span=None)
@@ -430,9 +424,7 @@ def lambda_backtrack(graph: Graph, span_budget: int | None = None,
                 runtime_ms=int((time.monotonic() - started) * 1000),
                 methods_run=("backtrack",),
             )
-    raise CapacityExceeded(
-        f"no labeling within span budget {upper}", lower_bound=upper + 1
-    )
+    raise InternalError(f"no labeling found up to span {2 * n - 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +621,6 @@ def _family_witness(g: FiniteGroup, graph: Graph) -> Labeling | None:
 
 
 def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
-                 dp_limit: int = DEFAULT_DP_LIMIT,
                  with_witness: bool = True,
                  budget_ms: int | None = None) -> LambdaReport:
     """Exact span of the power graph of ``g`` with witness and provenance.
@@ -642,7 +633,6 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     """
     if method not in ("auto", "ledger", "pathcover", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
-    check_dp_limit(dp_limit)
     started = time.monotonic()
     deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
     graph = build_power_graph(g)
@@ -658,7 +648,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
         return (lower, None) if pinned else None
 
     def solve_pathcover():
-        sub = lambda_via_path_cover(graph, dp_limit=dp_limit, deadline=deadline)
+        sub = lambda_via_path_cover(graph, deadline=deadline)
         return sub.value, sub.labeling
 
     def solve_backtrack():
@@ -711,8 +701,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
             labeling = _family_witness(g, graph)
             if labeling is None:
                 try:
-                    cover_report = lambda_via_path_cover(graph, dp_limit=dp_limit,
-                                                         deadline=deadline)
+                    cover_report = lambda_via_path_cover(graph, deadline=deadline)
                     if cover_report.value != value:
                         raise VerificationError(
                             f"path-cover witness disagrees for {g.descriptor.name}",

@@ -19,7 +19,7 @@ from .groups import (
     is_prime,
     maximal_cyclic_subgroups,
 )
-from .invariants import DEFAULT_DP_LIMIT, _hamilton_path_on, check_dp_limit
+from .invariants import _hamilton_path_on
 from .powergraph import build_power_graph
 
 __all__ = [
@@ -204,15 +204,13 @@ class EqualityCheck:
     note: str
 
 
-def check_lower_equality(g: FiniteGroup, lam: int,
-                         dp_limit: int = DEFAULT_DP_LIMIT) -> EqualityCheck:
+def check_lower_equality(g: FiniteGroup, lam: int) -> EqualityCheck:
     """Check: span == |G| exactly when the punctured complement is traceable."""
-    check_dp_limit(dp_limit)
     graph = build_power_graph(g)
     # The identity (vertex 0) dominates, so it is isolated in the complement.
     punctured = graph.full_mask & ~1
     try:
-        path = _hamilton_path_on(graph.complement.adj, punctured, dp_limit)
+        path = _hamilton_path_on(graph.complement.adj, punctured)
     except CapacityExceeded as exc:
         return EqualityCheck(None, lam == g.order, None,
                              f"hamilton search inconclusive: {exc}")

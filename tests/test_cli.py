@@ -137,12 +137,31 @@ def test_cmd_lambda_rejects_negative_dp_limit(capsys):
     assert "--dp-limit" in err
 
 
-def test_non_integer_dp_limit_environment_warns(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [("lambda", "Z6", "--dp-limit", "5"),
+                                  ("lambda", "Z6", "--bogus"),
+                                  ("verify", "octahedral"),
+                                  ("lambda",)],
+                         ids=["removed-flag", "unknown-flag", "bad-choice", "no-spec"])
+def test_usage_error_exit_code(capsys, argv):
+    # a usage error is an error (1), not an inexact answer (2)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: lambda-power") and "error:" in err
+
+
+def test_help_exit_code(capsys):
+    code, out, _ = run(capsys, "lambda", "--help")
+    assert code == 0
+    assert "--dp-limit" not in out
+
+
+def test_dp_limit_environment_variable_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("LAMBDA_POWER_DP_LIMIT", "abc")
     code, out, err = run(capsys, "lambda", "Z6", "--json")
     assert code == 0
     assert json.loads(out)["lambda"] == 8
-    assert "LAMBDA_POWER_DP_LIMIT" in err
+    assert err == ""
 
 
 def test_cmd_lambda_inexact_exit_code(capsys):

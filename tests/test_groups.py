@@ -118,7 +118,7 @@ def test_product_order_is_lcm():
 
 def test_product_capacity():
     with pytest.raises(CapacityExceeded):
-        direct_product(make_cyclic(200), make_cyclic(200), max_order=10000)
+        direct_product(make_cyclic(200), make_cyclic(200))
 
 
 def test_from_permutations_a5():
@@ -142,8 +142,11 @@ def test_from_permutations_rejects_malformed():
 
 
 def test_from_permutations_capacity():
-    with pytest.raises(CapacityExceeded):
-        from_permutations(A5_IMAGES, max_order=30)
+    # S8 has 40320 elements; the closure stops at the 10000th
+    s8 = [permutation_from_cycles([(1, 2, 3, 4, 5, 6, 7, 8)]),
+          permutation_from_cycles([(1, 2)])]
+    with pytest.raises(CapacityExceeded, match="10000"):
+        from_permutations(s8)
 
 
 def test_element_order_examples():

@@ -1,5 +1,6 @@
 """Clique, independence, Hamilton path, path cover and structural probes."""
 
+import inspect
 import time
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 
 from oracles import brute_hamilton_exists, brute_max_clique, brute_path_cover_count
 
+from lambda_power import cli, groups, invariants, labeling, oracle, powergraph
 from lambda_power import (
     CapacityExceeded,
     Graph,
@@ -72,7 +74,7 @@ def test_clique_matches_brute_force():
 
 def test_clique_capacity():
     with pytest.raises(CapacityExceeded):
-        clique_number(pg(make_cyclic(20)), limit=10)
+        clique_number(pg(make_cyclic(invariants.DEFAULT_CLIQUE_LIMIT + 1)))
 
 
 def test_independence_examples():
@@ -136,13 +138,13 @@ def spider(legs):
 def test_hamilton_on_star_is_solved_through_twins():
     # K1,29: the leaves are twins, so the quotient has 2 classes and 60 states
     graph = Graph.from_edges(30, star(29))
-    assert hamilton_path(graph, dp_limit=24) is None
+    assert hamilton_path(graph) is None
 
 
 def test_hamilton_capacity_when_heuristic_fails():
     # the heuristic misses, and 59 twin-free vertices exceed 2^24 DP states
     with pytest.raises(CapacityExceeded):
-        hamilton_path(spider(29), dp_limit=24)
+        hamilton_path(spider(29))
 
 
 def test_path_cover_empty_graph_on_four():
@@ -185,24 +187,25 @@ def test_path_cover_at_least_component_count():
 
 def test_path_cover_of_star_is_solved_through_twins():
     graph = Graph.from_edges(30, star(29))
-    cover = path_cover_number(graph, dp_limit=24)
+    cover = path_cover_number(graph)
     assert cover.count == 28
     assert_cover_valid(graph, cover)
 
 
 def test_path_cover_capacity():
     with pytest.raises(CapacityExceeded) as info:
-        path_cover_number(spider(29), dp_limit=24)
+        path_cover_number(spider(29))
     assert info.value.lower_bound is not None
 
 
-def test_path_cover_refusal_bounds_are_sound():
+def test_path_cover_refusal_bounds_are_sound(monkeypatch):
     # a 13-vertex spider (cover 5, 2^13 states, refused) plus three K1,5
     # (cover 4 each, solved): counting each small star as one path would
     # give an upper bound of 13 + 3 = 16 below the true cover 17
+    monkeypatch.setattr(invariants, "DEFAULT_DP_LIMIT", 10)
     edges = spider(6).edges() + star(5, 13) + star(5, 19) + star(5, 25)
     with pytest.raises(CapacityExceeded) as info:
-        path_cover_number(Graph.from_edges(31, edges), dp_limit=10)
+        path_cover_number(Graph.from_edges(31, edges))
     assert info.value.lower_bound <= 5 + 3 * 4 <= info.value.upper_bound
 
 
@@ -236,12 +239,18 @@ def test_deadline_skips_a_heuristic_that_must_miss():
         path_cover_number(graph, deadline=time.monotonic() - 1.0)
 
 
-def test_negative_dp_limit_is_rejected():
-    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        path_cover_number(graph, dp_limit=-5)
-    with pytest.raises(ValueError):
-        hamilton_path(graph, dp_limit=-1)
+def test_no_public_function_takes_a_limit_keyword():
+    # the limits are module constants, and the heuristic always runs where
+    # a Hamilton path may exist
+    knobs = {"dp_limit", "use_heuristic", "span_budget", "limit", "max_order"}
+    checked = 0
+    for module in (cli, groups, invariants, labeling, oracle, powergraph):
+        for name, value in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(value):
+                continue
+            checked += 1
+            assert not knobs & set(inspect.signature(value).parameters), name
+    assert checked > 40
 
 
 def test_path_cover_deterministic():

@@ -29,9 +29,10 @@ from lambda_power import (
     permutation_from_cycles,
     validate_l21,
 )
+from lambda_power import invariants
 from lambda_power import labeling as labeling_module
 from lambda_power.cli import build_group, builtin_corpus, parse_group_spec
-from lambda_power.errors import VerificationError
+from lambda_power.errors import InternalError, VerificationError
 
 
 def pg(group):
@@ -128,13 +129,21 @@ def test_verify_backtracks_where_it_timed_out_before(spec):
 
 def test_backtrack_capacity():
     with pytest.raises(CapacityExceeded):
-        lambda_backtrack(pg(make_cyclic(21)), limit=20)
+        lambda_backtrack(pg(make_cyclic(labeling_module.DEFAULT_BACKTRACK_LIMIT + 1)))
 
 
-def test_backtrack_span_budget():
-    with pytest.raises(CapacityExceeded) as info:
-        lambda_backtrack(pg(make_cyclic(4)), span_budget=5)
-    assert info.value.lower_bound == 6
+def test_backtrack_deepening_reaches_twice_n_minus_two():
+    # Z4's power graph is K4: its clique bound starts the deepening at
+    # 2n - 2 = 6, the last span it tries
+    report = lambda_backtrack(pg(make_cyclic(4)))
+    assert report.value == report.labeling.span == 6
+
+
+def test_backtrack_past_twice_n_minus_two_is_an_internal_error(monkeypatch):
+    # the labeling 0, 2, ..., 2n - 2 always fits, so only a bug gets here
+    monkeypatch.setattr(labeling_module, "_span_feasible", lambda *args: None)
+    with pytest.raises(InternalError, match="up to span 6"):
+        lambda_backtrack(pg(make_cyclic(4)))
 
 
 def test_path_cover_method_z6():
@@ -401,29 +410,22 @@ def test_klein_times_prime_span(p):
     assert validate_l21(pg(g), report.labeling).ok
 
 
-def test_negative_dp_limit_is_rejected_before_any_work():
-    with pytest.raises(ValueError):
-        lambda_exact(make_cyclic(6), dp_limit=-1)
-    with pytest.raises(ValueError):
-        lambda_via_path_cover(pg(make_cyclic(6)), dp_limit=-1)
-
-
 def test_verification_error_type_exists():
     # VerificationError carries the disagreeing values mapping
     err = VerificationError("boom", values={"a": 1, "b": 2})
     assert err.values == {"a": 1, "b": 2}
 
 
-def test_lambda_exact_never_raises_capacity():
+def test_lambda_exact_never_raises_capacity(monkeypatch):
     # Every solver and witness refusal is caught: with no DP and no time
     # left, each method and verify setting still ends in a report.
+    monkeypatch.setattr(invariants, "DEFAULT_DP_LIMIT", 0)
     groups = [g for _, g in builtin_corpus(10)]
     groups += [build_group(parse_group_spec(s)) for s in ("D64", "Z2x" * 5 + "Z2", "Z72")]
     for g in groups:
         for method in ("auto", "ledger", "pathcover", "backtrack"):
             for verify in (False, True):
-                report = lambda_exact(g, method=method, verify=verify,
-                                      dp_limit=0, budget_ms=0)
+                report = lambda_exact(g, method=method, verify=verify, budget_ms=0)
                 assert report.order == g.order
                 assert report.exact == (report.value is not None)
 

@@ -1,6 +1,8 @@
 """Property-based checks of the solvers against the brute-force references."""
 
+import contextlib
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +38,8 @@ from lambda_power import (
 )
 from lambda_power.cli import builtin_corpus
 from lambda_power.groups import _orders_and_inverses, from_permutations
-from lambda_power.invariants import DEFAULT_DP_LIMIT, _cover_lower_bound, _hamilton_path_on
+from lambda_power import invariants
+from lambda_power.invariants import _cover_lower_bound, _hamilton_path_on
 from lambda_power.labeling import _scattering_count, _twin_predecessors
 
 
@@ -238,18 +241,19 @@ def twin_blow_ups(draw, max_n=10):
 @settings(max_examples=60, deadline=None)
 @given(twin_blow_ups())
 def test_quotient_engine_matches_brute_on_twin_blow_ups(graph):
-    cover = path_cover_number(graph, use_heuristic=False)
+    with mock.patch.object(invariants, "_rotation_heuristic", return_value=None):
+        cover = path_cover_number(graph)
+        hamilton = hamilton_path(graph)
     seen = []
     for path in cover.paths:
         seen.extend(path)
         assert all(graph.adjacent(a, b) for a, b in zip(path, path[1:]))
     assert sorted(seen) == list(range(graph.n))
     assert cover.count == brute_path_cover_count(graph)
-    path = hamilton_path(graph, use_heuristic=False)
-    assert (path is not None) == brute_hamilton_exists(graph)
-    if path is not None:
-        assert sorted(path) == list(range(graph.n))
-        assert all(graph.adjacent(a, b) for a, b in zip(path, path[1:]))
+    assert (hamilton is not None) == brute_hamilton_exists(graph)
+    if hamilton is not None:
+        assert sorted(hamilton) == list(range(graph.n))
+        assert all(graph.adjacent(a, b) for a, b in zip(hamilton, hamilton[1:]))
 
 
 def assert_cover_bounds_below_brute(graph):
@@ -326,15 +330,16 @@ def test_cut_vertex_profile_matches_deleted_copy(graph):
 
 @settings(max_examples=120, deadline=None)
 @given(graphs(), st.booleans())
-def test_hamilton_path_over_a_vertex_set_matches_deleted_copy(graph, use_heuristic):
+def test_hamilton_path_over_a_vertex_set_matches_deleted_copy(graph, dp_only):
     # Vertex 0 made dominating is isolated in the complement, so vertices
     # 1..n-1 form a part of it that no outside row reaches.
     n = graph.n
     graph = Graph.from_edges(n, graph.edges() + [(0, v) for v in range(1, n)])
     reduced, survivors = delete_vertex(graph, 0)
-    expected = hamilton_path(reduced.complement, use_heuristic=use_heuristic)
+    with mock.patch.object(invariants, "_rotation_heuristic",
+                           return_value=None) if dp_only else contextlib.nullcontext():
+        expected = hamilton_path(reduced.complement)
+        found = _hamilton_path_on(graph.complement.adj, graph.full_mask & ~1)
     if expected is not None:
         expected = tuple(survivors[v] for v in expected)
-    found = _hamilton_path_on(graph.complement.adj, graph.full_mask & ~1,
-                              DEFAULT_DP_LIMIT, use_heuristic)
     assert found == expected
