@@ -239,6 +239,16 @@ def test_deadline_skips_a_heuristic_that_must_miss():
         path_cover_number(graph, deadline=time.monotonic() - 1.0)
 
 
+def test_negative_dp_limit_is_rejected():
+    # the DP cap is a module constant: a call that still passes dp_limit is
+    # refused when its arguments are bound, before the body runs
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        path_cover_number(graph, dp_limit=-5)
+    with pytest.raises(TypeError):
+        hamilton_path(graph, dp_limit=-1)
+
+
 def test_no_public_function_takes_a_limit_keyword():
     # the limits are module constants, and the heuristic always runs where
     # a Hamilton path may exist

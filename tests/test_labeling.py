@@ -410,6 +410,14 @@ def test_klein_times_prime_span(p):
     assert validate_l21(pg(g), report.labeling).ok
 
 
+def test_negative_dp_limit_is_rejected_before_any_work():
+    # dp_limit is no longer a keyword, so an old call fails at binding
+    with pytest.raises(TypeError):
+        lambda_exact(make_cyclic(6), dp_limit=-1)
+    with pytest.raises(TypeError):
+        lambda_via_path_cover(pg(make_cyclic(6)), dp_limit=-1)
+
+
 def test_verification_error_type_exists():
     # VerificationError carries the disagreeing values mapping
     err = VerificationError("boom", values={"a": 1, "b": 2})
