@@ -2,11 +2,15 @@
 
 Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
-Constructors validate the table they hand out: exhaustively up to order 64,
-by seeded random sampling above that. Tables are built a row or a column at
-a time from slices and maps, so their rows share int objects. A group builds
-once, on first use, one walk per distinct cyclic subgroup, and from those
-walks its maximal cyclic subgroups and its power graph.
+Constructors validate every table they hand out: the group laws row by row,
+and associativity exhaustively up to order 64 (row ab against row b read
+through row a) and on 10,000 seeded random triples above that. Tables are
+built a row or a column at a time from slices and maps, so their rows share
+int objects. A product, at any nesting, builds its atoms and then its one
+table from their rows, once its order has passed the limit; no partial
+product is built or validated. A group builds once, on first use, one walk
+per distinct cyclic subgroup, and from those walks its maximal cyclic
+subgroups and its power graph.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from itertools import chain
+from math import gcd, prod
+from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
@@ -200,19 +206,26 @@ def _validate_table(group: FiniteGroup) -> None:
             raise InternalError(f"row {x} of the Cayley table is not a permutation")
     if group.orders[0] != 1:
         raise InternalError("identity must have order 1")
+    if n == 1:
+        return  # the identity law fixed the one entry; itemgetter(0) would return it bare
     if n <= _EXHAUSTIVE_LIMIT:
-        triples: Iterable[tuple[int, int, int]] = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
-    else:
-        rng = random.Random(_SAMPLE_SEED)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(_SAMPLE_TRIPLES)
-        )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise InternalError(f"associativity fails at ({a}, {b}, {c})")
+        # (ab)c = a(bc) for every c at once: row ab is row b read through row a.
+        readers = [itemgetter(*row) for row in table]
+        for a, row in enumerate(table):
+            if list(map(table.__getitem__, row)) != [read(row) for read in readers]:
+                b, c = next((b, c) for b in range(n) for c in range(n)
+                            if table[row[b]][c] != row[table[b][c]])
+                raise InternalError(f"associativity fails at ({a}, {b}, {c})")
+        return
+    draws = random.Random(_SAMPLE_SEED).choices(range(n), k=3 * _SAMPLE_TRIPLES)
+    a, b, c = draws[0::3], draws[1::3], draws[2::3]
+    rows_a = list(map(table.__getitem__, a))
+    left = map(getitem, map(table.__getitem__, map(getitem, rows_a, b)), c)
+    right = map(getitem, rows_a, map(getitem, map(table.__getitem__, b), c))
+    if list(left) != list(right):
+        i = next(i for i in range(_SAMPLE_TRIPLES)
+                 if table[table[a[i]][b[i]]][c[i]] != table[a[i]][table[b[i]][c[i]]])
+        raise InternalError(f"associativity fails at ({a[i]}, {b[i]}, {c[i]})")
 
 
 def _finalize(table: tuple[tuple[int, ...], ...], descriptor: GroupDescriptor) -> FiniteGroup:
@@ -283,14 +296,51 @@ def _index_two_table(n: int, shift: int) -> tuple[tuple[int, ...], ...]:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; pair (a, b) is encoded as a * |h| + b."""
-    order = g.order * h.order
-    _check_capacity(order)
-    hn = h.order
-    table = tuple(
-        tuple(g.table[a1][a2] * hn + h.table[b1][b2] for a2 in range(g.order) for b2 in range(hn))
-        for a1 in range(g.order) for b1 in range(hn)
-    )
-    return _finalize(table, GroupDescriptor.product(g.descriptor, h.descriptor))
+    return _product((g, h), GroupDescriptor.product(g.descriptor, h.descriptor))
+
+
+def _product(factors: Sequence[FiniteGroup], descriptor: GroupDescriptor) -> FiniteGroup:
+    """One table for the product of all factors, checked against the order
+    limit before it is allocated."""
+    _check_capacity(prod(g.order for g in factors))
+    return _finalize(_product_table([g.table for g in factors]), descriptor)
+
+
+_Rows = Iterable[tuple[int, tuple[int, ...]]]  # (index, row) pairs in any order
+
+
+def _product_table(tables: Sequence[Sequence[tuple[int, ...]]]) -> tuple[tuple[int, ...], ...]:
+    """The left fold of (a1, b1)(a2, b2) = a1a2 * |h| + b1b2 over the tables:
+    element indices are mixed-radix, the first factor's digit most significant.
+
+    Rows are built from the last factor out. Row (d, s) of a suffix product
+    is, for each entry e of its first factor's row d, block e of the shared
+    ints read through row s of the shorter suffix. Each suffix row is built
+    once, used for every d and dropped; no suffix table is kept.
+    """
+    tables = [t for t in tables if len(t) > 1] or [((0,),)]  # order 1 moves no index
+    *heads, last = tables
+    ints = tuple(range(prod(map(len, tables))))
+    rows: _Rows = ((s, tuple(map(ints.__getitem__, row))) for s, row in enumerate(last))
+    span = len(last)
+    for table in reversed(heads):
+        rows = _lead_rows(rows, table, [ints[e * span:(e + 1) * span] for e in range(len(table))])
+        span *= len(table)
+    product_table: list[tuple[int, ...]] = [()] * span
+    for x, row in rows:
+        product_table[x] = row
+    return tuple(product_table)
+
+
+def _lead_rows(rows: _Rows, table: Sequence[tuple[int, ...]],
+               blocks: list[tuple[int, ...]]) -> _Rows:
+    """The rows of table's group times a suffix product, from the suffix
+    product's rows; blocks[e] holds the ints of the indices with leading digit e."""
+    span = len(blocks[0])
+    for s, row in rows:
+        chunks = list(map(itemgetter(*row), blocks))  # suffix rows have at least two entries
+        for d, lead in enumerate(table):
+            yield d * span + s, tuple(chain.from_iterable(map(chunks.__getitem__, lead)))
 
 
 def permutation_from_cycles(cycles: Sequence[Sequence[int]],
@@ -379,15 +429,25 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
 
 
 def from_descriptor(descriptor: GroupDescriptor) -> FiniteGroup:
-    """Build the group a descriptor names; its descriptor equals the input."""
+    """Build the group a descriptor names; its descriptor equals the input.
+
+    A product at any nesting builds its atoms, then its one table from their
+    rows: no partial product is built or validated."""
     family, params = descriptor.family, descriptor.params
     if family == "product":
-        return direct_product(*map(from_descriptor, params))
+        return _product([from_descriptor(a) for a in _product_atoms(descriptor)], descriptor)
     if family == "permutation":
         return from_permutations(params, alias=descriptor.name)
     make = {"cyclic": make_cyclic, "dihedral": make_dihedral,
             "quaternion": make_generalized_quaternion}[family]
     return make(*params)
+
+
+def _product_atoms(descriptor: GroupDescriptor) -> list[GroupDescriptor]:
+    """The non-product factors of a descriptor, left to right."""
+    if descriptor.family != "product":
+        return [descriptor]
+    return [atom for part in descriptor.params for atom in _product_atoms(part)]
 
 
 def element_order(g: FiniteGroup, x: int) -> int:

@@ -223,3 +223,14 @@ def composed_permutation_table(generators) -> tuple[tuple[int, ...], ...]:
                 index[composed] = len(perms)
                 perms.append(composed)
     return tuple(tuple(index[tuple(a[i - 1] for i in b)] for b in perms) for a in perms)
+
+
+def pair_product_table(g_table, h_table) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of G x H entry by entry: pair (a, b) is a * |H| + b, and
+    (a1, b1)(a2, b2) = g[a1][a2] * |H| + h[b1][b2]."""
+    hn = len(h_table)
+    return tuple(
+        tuple(g_table[a1][a2] * hn + h_table[b1][b2]
+              for a2 in range(len(g_table)) for b2 in range(hn))
+        for a1 in range(len(g_table)) for b1 in range(hn)
+    )

@@ -131,6 +131,14 @@ def test_cmd_lambda_parse_error_exit_code(capsys):
     assert "dihedral" in err
 
 
+def test_cmd_lambda_refuses_an_oversized_product_before_building_it(capsys):
+    # Z2^14 has 16384 elements; Z2^13's table alone would take about 0.5 GB.
+    code, out, err = run(capsys, "lambda", "x".join(["Z2"] * 14))
+    assert code == 1
+    assert out == ""
+    assert err == "error: group order 16384 exceeds the configured maximum 10000\n"
+
+
 def test_cmd_lambda_rejects_negative_dp_limit(capsys):
     code, _, err = run(capsys, "lambda", "Z6", "--dp-limit", "-5")
     assert code == 1

@@ -1,5 +1,8 @@
 """Group constructors, element algebra and maximal cyclic decompositions."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from oracles import composed_permutation_table
@@ -18,7 +21,9 @@ from lambda_power import (
     maximal_cyclic_subgroups,
     permutation_from_cycles,
 )
-from lambda_power.groups import GroupDescriptor, _finalize
+from lambda_power import groups
+from lambda_power.cli import parse_group_spec
+from lambda_power.groups import GroupDescriptor, _finalize, _validate_table, from_descriptor
 
 A5_IMAGES = [permutation_from_cycles([(1, 2, 3, 4, 5)]),
              permutation_from_cycles([(1, 2, 3)])]
@@ -119,6 +124,29 @@ def test_product_order_is_lcm():
 def test_product_capacity():
     with pytest.raises(CapacityExceeded):
         direct_product(make_cyclic(200), make_cyclic(200))
+
+
+def test_oversized_product_is_refused_before_any_product_table(monkeypatch):
+    built = []
+
+    def recording_finalize(table, descriptor):
+        built.append(len(table))
+        return _finalize(table, descriptor)
+
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 50)
+    monkeypatch.setattr(groups, "_finalize", recording_finalize)
+    with pytest.raises(CapacityExceeded, match="group order 72 exceeds the configured maximum 50"):
+        from_descriptor(parse_group_spec("Z6xZ6xZ2"))
+    assert built == [6, 6, 2]  # the atoms only; Z6xZ6 (order 36) is never built
+
+
+def test_product_spec_validates_one_table_per_group(monkeypatch):
+    checked = []
+    monkeypatch.setattr(groups, "_validate_table",
+                        lambda group: checked.append(group.descriptor.name))
+    group = from_descriptor(parse_group_spec("Z2xZ3xZ2"))
+    assert checked == ["Z2", "Z3", "Z2", "Z2xZ3xZ2"]
+    assert group.descriptor == parse_group_spec("Z2xZ3xZ2")
 
 
 def test_from_permutations_a5():
@@ -278,6 +306,79 @@ def test_table_whose_powers_never_reach_the_identity_is_refused():
     # x * x = x: the power walk stops after n + 1 terms and validation fails.
     with pytest.raises(InternalError):
         _finalize(((0, 1), (1, 1)), GroupDescriptor.atom("cyclic", 2))
+
+
+def broken(group, **changes):
+    """The group with some fields replaced, validated as if freshly built."""
+    _validate_table(replace(group, **changes))
+
+
+def with_row(table, x, row):
+    return table[:x] + (tuple(row),) + table[x + 1:]
+
+
+def test_validation_refuses_a_broken_identity_law():
+    z3 = make_cyclic(3)
+    swapped = (z3.table[1], z3.table[0], z3.table[2])
+    with pytest.raises(InternalError, match="identity law fails at element 0"):
+        broken(z3, table=swapped)
+
+
+def test_validation_refuses_a_broken_inverse_law():
+    with pytest.raises(InternalError, match="inverse law fails at element 1"):
+        broken(make_cyclic(3), inverses=(0, 1, 2))
+
+
+def test_validation_refuses_an_order_that_violates_lagrange():
+    with pytest.raises(InternalError, match="order of element 1 violates Lagrange"):
+        broken(make_cyclic(6), orders=(1, 4, 3, 2, 3, 6))
+    with pytest.raises(InternalError, match="identity must have order 1"):
+        broken(make_cyclic(6), orders=(2, 6, 3, 2, 3, 6))
+
+
+def test_validation_refuses_a_row_that_is_not_a_permutation():
+    z4 = make_cyclic(4)
+    with pytest.raises(InternalError, match="row 1 of the Cayley table is not a permutation"):
+        broken(z4, table=with_row(z4.table, 1, (1, 2, 2, 0)))
+
+
+# Swapping entries j and k of row x of Z6 keeps a Latin square with the
+# identity, inverses and orders of Z6, but breaks associativity. For row 1
+# the first bad triple is (1, 1, 2), where a search in (a, c, b) order would
+# find (1, 3, 1); for rows 4 and 5 it lies in row 1, before the broken row.
+@pytest.mark.parametrize("x, j, k", [(1, 1, 4), (4, 1, 3), (5, 2, 4)])
+def test_exhaustive_validation_names_the_first_non_associative_triple(x, j, k):
+    z6 = make_cyclic(6)
+    row = list(z6.table[x])
+    row[j], row[k] = row[k], row[j]
+    table = with_row(z6.table, x, row)
+    first = next((a, b, c) for a in range(6) for b in range(6) for c in range(6)
+                 if table[table[a][b]][c] != table[a][table[b][c]])
+    with pytest.raises(InternalError, match=re.escape(f"associativity fails at {first}") + "$"):
+        broken(z6, table=table)
+
+
+def test_sampled_validation_refuses_a_non_associative_table_above_order_64():
+    # Z50 x Z2 with (a, s)(b, t) = (a + b, s + t + [a = b != 0]) at index 2a + s:
+    # a Latin square with identity 0, but [a = b != 0] is not a cocycle, so
+    # (ab)c != a(bc) on about 7% of all triples.
+    def index(a, s):
+        return 2 * (a % 50) + s % 2
+
+    table = tuple(tuple(index(a + b, s + t + (a == b != 0)) for b in range(50) for t in range(2))
+                  for a in range(50) for s in range(2))
+    inverses = tuple(index(-a, s + (a == 25)) for a in range(50) for s in range(2))
+    z100 = from_descriptor(parse_group_spec("Z50xZ2"))
+    assert z100.order > 64
+    with pytest.raises(InternalError, match="associativity fails at"):
+        broken(z100, table=table, inverses=inverses)
+
+
+def test_one_element_table_passes_validation():
+    assert make_cyclic(1).table == ((0,),)
+    assert from_descriptor(parse_group_spec("Z1xZ1")).table == ((0,),)
+    with pytest.raises(InternalError, match="identity law fails at element 0"):
+        broken(make_cyclic(1), table=((1,),))
 
 
 def test_permutation_from_cycles_validation():

@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+from functools import reduce
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from oracles import (
     brute_path_cover_count,
     check_l21,
     composed_permutation_table,
+    pair_product_table,
     power_walk,
     reference_row_check,
     reference_violations,
@@ -31,13 +33,19 @@ from lambda_power import (
     cut_vertex_component_profile,
     delete_vertex,
     diameter_at_most_two,
+    direct_product,
     hamilton_path,
     lambda_backtrack,
     path_cover_number,
     validate_l21,
 )
 from lambda_power.cli import builtin_corpus
-from lambda_power.groups import _orders_and_inverses, from_permutations
+from lambda_power.groups import (
+    GroupDescriptor,
+    _orders_and_inverses,
+    from_descriptor,
+    from_permutations,
+)
 from lambda_power import invariants
 from lambda_power.invariants import _cover_lower_bound, _hamilton_path_on
 from lambda_power.labeling import _scattering_count, _twin_predecessors
@@ -172,6 +180,38 @@ def test_orders_and_inverses_match_a_power_walk(group):
 @given(permutation_groups())
 def test_permutation_table_matches_composition(group):
     assert group.table == composed_permutation_table(group.descriptor.params)
+
+
+PRODUCT_ATOMS = ([GroupDescriptor.atom("cyclic", n) for n in range(1, 13)]
+                 + [GroupDescriptor.atom("dihedral", m) for m in (6, 8, 10, 12)]
+                 + [GroupDescriptor.atom("quaternion", m) for m in (8, 12)])
+
+
+@st.composite
+def product_atoms(draw, max_order=256):
+    """Two to four atoms, Z1 included, whose product has at most max_order elements."""
+    atoms, order = [], 1
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        fitting = [a for a in PRODUCT_ATOMS if order * a.params[0] <= max_order]
+        atom = draw(st.sampled_from(fitting))
+        atoms.append(atom)
+        order *= atom.params[0]
+    return atoms
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_atoms())
+def test_product_tables_match_the_pairwise_reference(atoms):
+    factors = [from_descriptor(atom) for atom in atoms]
+    reference = reduce(pair_product_table, (g.table for g in factors))
+    orders, inverses = power_walk(reference)
+    expected = (reference, tuple(orders), tuple(inverses))
+    left_nested = from_descriptor(reduce(GroupDescriptor.product, atoms))
+    right_nested = from_descriptor(reduce(lambda h, g: GroupDescriptor.product(g, h),
+                                          reversed(atoms)))
+    pairwise = reduce(lambda h, g: direct_product(g, h), reversed(factors))  # g x (h x k)
+    for group in (left_nested, right_nested, pairwise):
+        assert (group.table, group.orders, group.inverses) == expected
 
 
 @settings(max_examples=120, deadline=None)
