@@ -173,12 +173,9 @@ def _twin_classes(adj: tuple[int, ...],
     return members, qadj
 
 
-def _typecode(largest: int) -> str | None:
+def _typecode(largest: int) -> str:
     """The narrowest unsigned ``array`` typecode holding ``largest``."""
-    for code in "BHILQ":
-        if largest.bit_length() <= 8 * array(code).itemsize:
-            return code
-    return None
+    return next(code for code in "BHILQ" if largest.bit_length() <= 8 * array(code).itemsize)
 
 
 def _quotient_cover(adj: tuple[int, ...], vertices: list[int],
@@ -201,14 +198,15 @@ def _quotient_cover(adj: tuple[int, ...], vertices: list[int],
     for w in weights:
         strides.append(states)
         states *= w + 1
-    best_code, ends_code = _typecode(m), _typecode((1 << q) - 1)
-    if (states - 1).bit_length() > DEFAULT_DP_LIMIT or ends_code is None:
+    if (states - 1).bit_length() > DEFAULT_DP_LIMIT:
         raise CapacityExceeded(
             f"path-cover DP over {q} twin classes of {m} vertices needs "
             f"2^{math.log2(states):.1f} states, over the limit 2^{DEFAULT_DP_LIMIT}"
         )
-    best = array(best_code, [0]) * states
-    ends = array(ends_code, [0]) * states
+    # states >= 2**q and states > m, so an admitted DP's counts and class
+    # masks fit 32 bits
+    best = array(_typecode(m), [0]) * states
+    ends = array(_typecode((1 << q) - 1), [0]) * states
     # Nothing left: a path from any class ends at no cost. Every class of a
     # connected graph has a neighbour, so every class meets this mask.
     ends[0] = (1 << q) - 1

@@ -7,7 +7,9 @@ is the minimum span. This module computes it exactly by three independent
 routes (a bound ledger that can pin the value, the complement path-cover
 reduction, and iterative-deepening backtracking) and builds the explicit
 family labelings for dihedral, generalized quaternion and two-prime cyclic
-groups.
+groups. The two searches return an optimal, validated ``Labeling`` whose
+span is the lambda number; ``lambda_exact`` runs them and is the one place
+that builds a ``LambdaReport``.
 """
 
 from __future__ import annotations
@@ -224,25 +226,14 @@ def _bound_window(bounds: tuple[Bound, ...]) -> tuple[int, int]:
 # Exact solvers
 
 
-def _labeling_from_cover(graph: Graph, cover) -> Labeling:
-    labels = [0] * graph.n
-    nxt = 0
-    for path in cover.paths:
-        for v in path:
-            labels[v] = nxt
-            nxt += 1
-        nxt += 1  # adjacent-in-graph pairs never sit on consecutive labels
-    return _checked(graph, labels)
-
-
-def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> LambdaReport:
-    """Exact span of a diameter <= 2 graph through its complement's path cover.
+def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> Labeling:
+    """Optimal labeling of a diameter <= 2 graph through its complement's path cover.
 
     With r the minimum number of vertex-disjoint paths covering the
     complement, the span is n - 1 when r = 1 and n + r - 2 otherwise; the
-    witness walks the complement paths with one skipped label between paths.
+    labeling walks the complement paths with one skipped label between paths,
+    so its span is the lambda number.
     """
-    started = time.monotonic()
     n = graph.n
     if n == 0:
         raise ValueError("graph must have at least one vertex")
@@ -250,21 +241,14 @@ def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> Lam
         raise ValueError("path-cover method requires a graph of diameter at most 2")
     cover = path_cover_number(graph.complement, deadline=deadline)
     r = cover.count
-    value = n - 1 if r == 1 else n + r - 2
-    labeling = _labeling_from_cover(graph, cover)
-    if labeling.span != value:
-        raise InternalError("cover labeling span disagrees with the cover count")
-    return LambdaReport(
-        group="<graph>",
-        order=n,
-        value=value,
-        exact=True,
-        method="path-cover",
-        labeling=labeling,
-        runtime_ms=int((time.monotonic() - started) * 1000),
-        methods_run=("path-cover",),
-        notes=(f"complement path cover uses {r} paths",),
-    )
+    labels = [0] * n
+    nxt = 0
+    for path in cover.paths:
+        for v in path:
+            labels[v] = nxt
+            nxt += 1
+        nxt += 1  # adjacent-in-graph pairs never sit on consecutive labels
+    return _checked(graph, labels, expected_span=n - 1 if r == 1 else n + r - 2)
 
 
 def _backtrack_order(graph: Graph) -> list[int]:
@@ -322,20 +306,17 @@ def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
             near = low | (low << 1) | (low >> 1)
             trail: list[tuple[int, int]] = []
             ok = True
-            if injective and (full & ~used).bit_count() < n - pos - 1:
-                ok = False
-            if ok:
-                for u in bits(adj[v]):
-                    if labels[u] >= 0:
-                        continue
-                    old = domains[u]
-                    new = old & ~near
-                    if new != old:
-                        domains[u] = new
-                        trail.append((u, old))
-                        if not new:
-                            ok = False
-                            break
+            for u in bits(adj[v]):
+                if labels[u] >= 0:
+                    continue
+                old = domains[u]
+                new = old & ~near
+                if new != old:
+                    domains[u] = new
+                    trail.append((u, old))
+                    if not new:
+                        ok = False
+                        break
             if ok:
                 for u in bits(d2[v]):
                     if labels[u] >= 0:
@@ -375,15 +356,15 @@ def _scattering_count(graph: Graph, s: int) -> int:
                len(_masked_components(rows, full & ~s)) - s.bit_count())
 
 
-def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> LambdaReport:
-    """Exact span by iterative deepening on the candidate span.
+def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> Labeling:
+    """Optimal labeling by iterative deepening on the candidate span.
 
     Each deepening step either finds a labeling of that span or proves none
-    exists, so the first feasible span is the lambda number; the labeling
-    0, 2, ..., 2n - 2 always fits, so the deepening ends there. Graphs above
-    ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. Vertices are
-    tried by descending degree, labels ascending, with forward checking; on
-    diameter <= 2 graphs labels are additionally forced pairwise distinct.
+    exists, so the first labeling found has the lambda number as its span;
+    the labeling 0, 2, ..., 2n - 2 always fits, so the deepening ends there.
+    Graphs above ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. Vertices
+    are tried by descending degree, labels ascending, with forward checking;
+    on diameter <= 2 graphs labels are additionally forced pairwise distinct.
 
     The deepening starts at 2*omega - 2, and on a diameter <= 2 graph at
     n + r - 2 for r a certified lower bound on the complement's minimum path
@@ -393,7 +374,6 @@ def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> LambdaRe
     S by ``_scattering_count``, which shares no code with the matching or
     the path-cover DP, so the search stays an independent check.
     """
-    started = time.monotonic()
     n = graph.n
     if n == 0:
         raise ValueError("graph must have at least one vertex")
@@ -411,19 +391,7 @@ def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> LambdaRe
     for k in range(lower, 2 * n - 1):
         found = _span_feasible(graph, k, order, prev_twin, injective, deadline)
         if found is not None:
-            labeling = _checked(graph, found, expected_span=None)
-            if labeling.span > k:
-                raise InternalError("search returned labels beyond the span budget")
-            return LambdaReport(
-                group="<graph>",
-                order=n,
-                value=k,
-                exact=True,
-                method="backtrack",
-                labeling=labeling,
-                runtime_ms=int((time.monotonic() - started) * 1000),
-                methods_run=("backtrack",),
-            )
+            return _checked(graph, found, expected_span=k)
     raise InternalError(f"no labeling found up to span {2 * n - 2}")
 
 
@@ -639,90 +607,71 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     prediction = predict_lambda(g)
     bounds = bound_ledger(g)
     lower, upper = _bound_window(bounds)
-    pinned = lower == upper
     notes: list[str] = []
     results: dict[str, int] = {}
-    labelings: dict[str, Labeling | None] = {}
+    witness: Labeling | None = None  # the first search's labeling
 
-    def solve_ledger():
-        return (lower, None) if pinned else None
-
-    def solve_pathcover():
-        sub = lambda_via_path_cover(graph, deadline=deadline)
-        return sub.value, sub.labeling
-
-    def solve_backtrack():
-        sub = lambda_backtrack(graph, deadline=deadline)
-        return sub.value, sub.labeling
-
-    # (method name, report tag, solver) in the order auto mode tries them.
+    # (method name, report tag, search) in the order auto mode tries them.
     # The ledger is already computed, so the time budget gates only the searches.
     cascade = (
-        ("ledger", "ledger", solve_ledger),
-        ("pathcover", "path-cover", solve_pathcover),
-        ("backtrack", "backtrack", solve_backtrack),
+        ("ledger", "ledger", None),
+        ("pathcover", "path-cover", lambda_via_path_cover),
+        ("backtrack", "backtrack", lambda_backtrack),
     )
-    for name, tag, solve in cascade:
+    for name, tag, search in cascade:
         auto_turn = method == "auto" and not results and (
             name == "ledger" or deadline is None or time.monotonic() <= deadline)
         if not (verify or method == name or auto_turn):
             continue
+        if search is None:
+            if lower == upper:
+                results[tag] = lower
+            continue
         try:
-            solved = solve()
+            found = search(graph, deadline=deadline)
         except CapacityExceeded as exc:
             notes.append(f"{tag} unavailable: {exc}")
             continue
-        if solved is not None:
-            results[tag], labelings[tag] = solved
+        results[tag] = found.span
+        if witness is None:
+            witness = found
 
-    if verify:
-        distinct = set(results.values())
-        if len(distinct) > 1:
-            raise VerificationError(
-                f"methods disagree for {g.descriptor.name}: {results}", values=results
-            )
-        if len(results) < 2:
-            notes.append("verification incomplete: fewer than two methods ran")
-
-    if not results:
-        return LambdaReport(
-            group=g.descriptor.name, order=g.order, value=None, exact=False,
-            method="bounds-only", bounds=bounds, labeling=None, oracle=prediction,
-            agreement=None, runtime_ms=int((time.monotonic() - started) * 1000),
-            methods_run=(), notes=tuple(notes),
+    if verify and len(set(results.values())) > 1:
+        raise VerificationError(
+            f"methods disagree for {g.descriptor.name}: {results}", values=results
         )
+    if verify and len(results) < 2:
+        notes.append("verification incomplete: fewer than two methods ran")
 
-    chosen_method, value = next(iter(results.items()))
+    value = next(iter(results.values()), None)
     labeling = None
-    if with_witness:
-        labeling = next((lab for lab in labelings.values() if lab is not None), None)
+    if value is not None and not with_witness:
+        notes.append("witness omitted on request")
+    elif value is not None:
+        labeling = witness or _family_witness(g, graph)
         if labeling is None:
             # A complete power graph's edgeless complement gives labels 2v.
-            labeling = _family_witness(g, graph)
-            if labeling is None:
-                try:
-                    cover_report = lambda_via_path_cover(graph, deadline=deadline)
-                    if cover_report.value != value:
-                        raise VerificationError(
-                            f"path-cover witness disagrees for {g.descriptor.name}",
-                            values={"ledger": value,
-                                    "path-cover": cover_report.value},
-                        )
-                    labeling = cover_report.labeling
-                except CapacityExceeded as exc:
-                    notes.append(f"witness unavailable: {exc}")
+            try:
+                labeling = lambda_via_path_cover(graph, deadline=deadline)
+            except CapacityExceeded as exc:
+                notes.append(f"witness unavailable: {exc}")
+            else:
+                if labeling.span != value:
+                    raise VerificationError(
+                        f"path-cover witness disagrees for {g.descriptor.name}",
+                        values={"ledger": value, "path-cover": labeling.span},
+                    )
         # Every producer above validated its labeling on this graph.
         if labeling is not None and labeling.span != value:
             raise InternalError("witness span disagrees with the computed value")
-    else:
-        notes.append("witness omitted on request")
 
     agreement = None
-    if prediction.value is not None:
+    if value is not None and prediction.value is not None:
         agreement = prediction.value == value
     return LambdaReport(
-        group=g.descriptor.name, order=g.order, value=value, exact=True,
-        method=chosen_method, bounds=bounds, labeling=labeling, oracle=prediction,
-        agreement=agreement, runtime_ms=int((time.monotonic() - started) * 1000),
+        group=g.descriptor.name, order=g.order, value=value, exact=value is not None,
+        method=next(iter(results), "bounds-only"), bounds=bounds, labeling=labeling,
+        oracle=prediction, agreement=agreement,
+        runtime_ms=int((time.monotonic() - started) * 1000),
         methods_run=tuple(sorted(results)), notes=tuple(notes),
     )

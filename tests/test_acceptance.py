@@ -86,7 +86,7 @@ def test_criterion_03_two_prime_cyclic(corpus20):
     ok = True
     for spec, want in expected.items():
         group, report = corpus20[spec]
-        solver = lambda_via_path_cover(build_power_graph(group)).value
+        solver = lambda_via_path_cover(build_power_graph(group)).span
         oracle = report.oracle.value
         ok = ok and solver == want and oracle == want and report.value == want
     special12 = construct_zpqn_labeling(3, 2, 2)
@@ -103,7 +103,7 @@ def test_criterion_04_elementary_abelian():
     ok = True
     for spec, want in expected.items():
         graph = build_power_graph(group_from_text(spec))
-        ok = ok and lambda_via_path_cover(graph).value == want
+        ok = ok and lambda_via_path_cover(graph).span == want
     report_line(4, ok, "elementary abelian spans equal the group order")
 
 
@@ -112,8 +112,8 @@ def test_criterion_05_prime_power_cyclic():
     ok = True
     for n, want in expected.items():
         graph = build_power_graph(make_cyclic(n))
-        ok = ok and lambda_via_path_cover(graph).value == want
-        ok = ok and lambda_backtrack(graph).value == want
+        ok = ok and lambda_via_path_cover(graph).span == want
+        ok = ok and lambda_backtrack(graph).span == want
     report_line(5, ok, "prime-power cyclic spans 2n-2 by both solver methods")
 
 
@@ -181,7 +181,7 @@ def test_criterion_09_cross_solver_equivalence(corpus20):
         if group.order > 14:
             continue
         graph = build_power_graph(group)
-        if lambda_backtrack(graph).value != lambda_via_path_cover(graph).value:
+        if lambda_backtrack(graph).span != lambda_via_path_cover(graph).span:
             ok = False
             break
     for spec, (group, _) in corpus20.items():

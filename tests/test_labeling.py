@@ -27,6 +27,7 @@ from lambda_power import (
     make_dihedral,
     make_generalized_quaternion,
     permutation_from_cycles,
+    predict_lambda,
     validate_l21,
 )
 from lambda_power import invariants
@@ -77,18 +78,18 @@ def test_validate_length_mismatch():
 
 
 def test_backtrack_complete_four():
-    assert lambda_backtrack(pg(make_cyclic(4))).value == 6
+    assert lambda_backtrack(pg(make_cyclic(4))).span == 6
 
 
 def test_backtrack_path_three():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    report = lambda_backtrack(graph)
-    assert report.value == 3
-    assert check_l21(graph, report.labeling.labels)
+    labeling = lambda_backtrack(graph)
+    assert labeling.span == 3
+    assert check_l21(graph, labeling.labels)
 
 
 def test_backtrack_klein():
-    assert lambda_backtrack(pg(klein())).value == 4
+    assert lambda_backtrack(pg(klein())).span == 4
 
 
 def test_backtrack_matches_brute_on_small_graphs():
@@ -100,9 +101,9 @@ def test_backtrack_matches_brute_on_small_graphs():
         pg(make_cyclic(5)),
     ]
     for graph in graphs:
-        report = lambda_backtrack(graph)
-        assert report.value == brute_lambda(graph)
-        assert check_l21(graph, report.labeling.labels)
+        labeling = lambda_backtrack(graph)
+        assert labeling.span == brute_lambda(graph)
+        assert check_l21(graph, labeling.labels)
 
 
 def test_backtrack_trusts_only_the_recounted_cover_bound(monkeypatch):
@@ -117,7 +118,7 @@ def test_backtrack_trusts_only_the_recounted_cover_bound(monkeypatch):
                   direct_product(direct_product(make_cyclic(2), make_cyclic(2)),
                                  make_cyclic(5))):
         graph = pg(group)
-        assert lambda_backtrack(graph).value == lambda_via_path_cover(graph).value
+        assert lambda_backtrack(graph).span == lambda_via_path_cover(graph).span
 
 
 @pytest.mark.parametrize("spec", ["Q16", "Z2xZ2xZ4", "Z4xZ4"])
@@ -135,8 +136,7 @@ def test_backtrack_capacity():
 def test_backtrack_deepening_reaches_twice_n_minus_two():
     # Z4's power graph is K4: its clique bound starts the deepening at
     # 2n - 2 = 6, the last span it tries
-    report = lambda_backtrack(pg(make_cyclic(4)))
-    assert report.value == report.labeling.span == 6
+    assert lambda_backtrack(pg(make_cyclic(4))).span == 6
 
 
 def test_backtrack_past_twice_n_minus_two_is_an_internal_error(monkeypatch):
@@ -147,17 +147,15 @@ def test_backtrack_past_twice_n_minus_two_is_an_internal_error(monkeypatch):
 
 
 def test_path_cover_method_z6():
-    report = lambda_via_path_cover(pg(make_cyclic(6)))
-    assert report.value == 8
-    assert report.labeling.span == 8
+    assert lambda_via_path_cover(pg(make_cyclic(6))).span == 8
 
 
 def test_path_cover_method_d6():
-    assert lambda_via_path_cover(pg(make_dihedral(6))).value == 6
+    assert lambda_via_path_cover(pg(make_dihedral(6))).span == 6
 
 
 def test_path_cover_method_q8():
-    assert lambda_via_path_cover(pg(make_generalized_quaternion(8))).value == 9
+    assert lambda_via_path_cover(pg(make_generalized_quaternion(8))).span == 9
 
 
 def test_path_cover_method_requires_diameter_two():
@@ -168,8 +166,7 @@ def test_path_cover_method_requires_diameter_two():
 
 def test_path_cover_witness_is_injective():
     for group in (make_cyclic(12), make_dihedral(10)):
-        report = lambda_via_path_cover(pg(group))
-        labels = report.labeling.labels
+        labels = lambda_via_path_cover(pg(group)).labels
         assert len(set(labels)) == len(labels)
 
 
@@ -241,7 +238,7 @@ def test_dihedral_construction(k):
 
 def test_dihedral_construction_matches_path_cover():
     assert construct_dihedral_labeling(5).span == \
-        lambda_via_path_cover(pg(make_dihedral(10))).value
+        lambda_via_path_cover(pg(make_dihedral(10))).span
 
 
 def test_dihedral_construction_rejects_small():
@@ -321,6 +318,43 @@ def test_bound_ledger_entries_are_bounds():
                 assert bound.value <= value
             else:
                 assert value <= bound.value
+
+
+@pytest.mark.parametrize("spec", ["D256", "Z3xZ3xZ3xZ3xZ3", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"])
+def test_bound_ledger_greedy_fallbacks_above_the_clique_limit(spec):
+    # above the clique limit both clique searches give way to greedy
+    # witnesses: weaker, flagged inexact, but still bounds
+    g = build_group(parse_group_spec(spec))
+    assert g.order > invariants.DEFAULT_CLIQUE_LIMIT
+    bounds = bound_ledger(g)
+    greedy = {b.source: b for b in bounds if not b.exact}
+    assert greedy["clique"].kind == "lower"
+    assert greedy["clique"].note == "greedy clique witness only"
+    assert greedy["independence"].kind == "upper"
+    assert greedy["independence"].note == "greedy independent set only"
+    value = predict_lambda(g).value
+    assert all(b.value <= value for b in bounds if b.kind == "lower")
+    assert all(value <= b.value for b in bounds if b.kind == "upper")
+    report = lambda_exact(g)
+    assert report.exact and report.value == value
+    assert validate_l21(pg(g), report.labeling).ok
+    assert report.labeling.span == value
+
+
+def test_lambda_exact_witness_under_every_method_and_verify_setting():
+    # every exact report carries a witness of its value; every inexact one
+    # is bounds-only with none
+    for _, g in builtin_corpus(12):
+        graph = pg(g)
+        for method in ("auto", "ledger", "pathcover", "backtrack"):
+            for verify in (False, True):
+                report = lambda_exact(g, method=method, verify=verify)
+                if report.exact:
+                    assert validate_l21(graph, report.labeling).ok
+                    assert report.labeling.span == report.value
+                else:
+                    assert report.method == "bounds-only"
+                    assert report.labeling is None
 
 
 def test_lambda_exact_families():
