@@ -63,4 +63,4 @@ from .powergraph import (
     diameter_at_most_two,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -1,12 +1,16 @@
 """Exact graph invariants: cliques, Hamilton paths, minimum path covers.
 
 Everything here is deterministic: vertex scans ascend, branch orders are
-fixed, and witnesses come out canonical for a given graph. Exact routines
-refuse instances above the module limits instead of silently guessing: the
-clique search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the path-cover DP
-above ``2**DEFAULT_DP_LIMIT`` states. The rotation heuristic is only ever
-used to produce positive Hamilton-path certificates, never to conclude
-absence.
+fixed, and witnesses come out canonical for a given graph. A path cover is
+settled per connected component. One maximum matching of the bipartite
+double cover gives both a certified lower bound lb and a constructed cover;
+when the cover has lb paths it is optimal, and no search runs. Only on a gap
+do the rotation heuristic (where lb < 2) and the quotient DP run. Exact
+routines refuse instances above the module limits instead of silently
+guessing: the clique search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the
+path-cover DP above ``2**DEFAULT_DP_LIMIT`` states. The rotation heuristic
+is only ever used to produce positive Hamilton-path certificates, never to
+conclude absence.
 A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 """
@@ -248,33 +252,26 @@ def _quotient_cover(adj: tuple[int, ...], vertices: list[int],
     return paths
 
 
-def _cover_lower_bound(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
-    """A lower bound on the minimum path cover of the subgraph on ``mask``,
-    and the vertex set S (a mask) that certifies it.
-
-    Orient each of a cover's r paths: its arcs are a matching of
-    |mask| - r edges of the bipartite double cover, so r >= |mask| - nu.
-    S = N(X), for X Koenig's set: the left vertices that alternating paths
-    reach from unmatched left vertices. Deleting S cuts r paths into at most
-    r + |S| pieces, each inside one component of the rest, so
-    r >= c(G[mask] - S) - |S|; and every component needs a path of its own.
+def _double_cover_matching(adj: tuple[int, ...], mask: int) -> tuple[list[int], list[int]]:
+    """A maximum matching of the bipartite double cover of the subgraph on
+    ``mask``: ``succ[v] = u`` pairs left v with right u, read as the arc
+    v -> u, and ``pred`` is its inverse; -1 where unmatched. Every vertex has
+    at most one arc out and one in, so the arcs form paths and cycles.
     """
-    mate_left, mate_right = [-1] * len(adj), [-1] * len(adj)
-    matching = 0
+    succ, pred = [-1] * len(adj), [-1] * len(adj)
     free_right = mask
     for v in bits(mask):  # greedy start
         cand = adj[v] & free_right
         if cand:
             low = cand & -cand
             u = low.bit_length() - 1
-            mate_left[v], mate_right[u] = u, v
+            succ[v], pred[u] = u, v
             free_right ^= low
-            matching += 1
     # One breadth-first alternating search per unmatched left vertex. The
     # right vertices of a failed search lie on no later augmenting path, so
     # they stay dead.
     dead = 0
-    for v in [v for v in bits(mask) if mate_left[v] < 0]:
+    for v in [v for v in bits(mask) if succ[v] < 0]:
         parent: dict[int, int] = {}
         seen, frontier, end = dead, [v], -1
         while frontier and end < 0:
@@ -284,10 +281,10 @@ def _cover_lower_bound(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
                 seen |= new
                 for u in bits(new):
                     parent[u] = x
-                    if mate_right[u] < 0:
+                    if pred[u] < 0:
                         end = u
                         break
-                    reached.append(mate_right[u])
+                    reached.append(pred[u])
                 if end >= 0:
                     break
             frontier = reached
@@ -296,12 +293,29 @@ def _cover_lower_bound(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
             continue
         while end >= 0:  # flip the path's edges back to v
             x = parent[end]
-            prev = mate_left[x]
-            mate_left[x], mate_right[end] = end, x
+            prev = succ[x]
+            succ[x], pred[end] = end, x
             end = prev
-        matching += 1
+    return succ, pred
+
+
+def _cover_lower_bound(adj: tuple[int, ...], mask: int,
+                       matching: tuple[list[int], list[int]] | None = None) -> tuple[int, int]:
+    """A lower bound on the minimum path cover of the subgraph on ``mask``,
+    and the vertex set S (a mask) that certifies it. ``matching`` is the
+    subgraph's ``_double_cover_matching``, computed here when not given.
+
+    Orient each of a cover's r paths: its arcs are a matching of
+    |mask| - r edges of the bipartite double cover, so r >= |mask| - nu.
+    S = N(X), for X Koenig's set: the left vertices that alternating paths
+    reach from unmatched left vertices. Deleting S cuts r paths into at most
+    r + |S| pieces, each inside one component of the rest, so
+    r >= c(G[mask] - S) - |S|; and every component needs a path of its own.
+    """
+    succ, pred = matching or _double_cover_matching(adj, mask)
     # Koenig's set X, grown from every unmatched left vertex at once; S = N(X).
-    x_set = frontier = sum(1 << v for v in bits(mask) if mate_left[v] < 0)
+    x_set = frontier = sum(1 << v for v in bits(mask) if succ[v] < 0)
+    unmatched = x_set.bit_count()
     s_set = 0
     while frontier:
         reach = 0
@@ -309,26 +323,178 @@ def _cover_lower_bound(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
             reach |= adj[x]
         new = reach & mask & ~s_set
         s_set |= new
-        frontier = sum(1 << mate_right[u] for u in bits(new)) & ~x_set
+        frontier = sum(1 << pred[u] for u in bits(new)) & ~x_set
         x_set |= frontier
     lb = max(len(_masked_components(adj, mask)),
-             mask.bit_count() - matching,
+             unmatched,
              len(_masked_components(adj, mask & ~s_set)) - s_set.bit_count())
     return lb, s_set
+
+
+def _constructed_cover(adj: tuple[int, ...], vertices: list[int],
+                       matching: tuple[list[int], list[int]], target: int) -> list[list[int]]:
+    """A path cover of the connected subgraph on ``vertices`` (ascending),
+    built from its double-cover matching; it stops improving once it has
+    ``target`` paths.
+
+    The matching's arcs are oriented into paths and cycles. Each cycle is
+    spliced into a path end that meets it, else merged with a later cycle it
+    touches, else opened. Path ends that meet are then joined, and each end
+    is rotated (Posa: a tail adjacent to p[k] makes p[k+1] the new tail) at
+    most once per vertex of its path until it meets another path's end.
+    Scans ascend and ties go to the lowest index.
+    """
+    succ, pred = matching
+    paths: list[list[int] | None] = []
+    cycles = []
+    placed: set[int] = set()
+    # Walk a path from each vertex without a predecessor, then a cycle from
+    # each vertex still left.
+    for v in [v for v in vertices if pred[v] < 0] + vertices:
+        if v not in placed:
+            chain = [v]
+            while succ[chain[-1]] >= 0 and succ[chain[-1]] != v:
+                chain.append(succ[chain[-1]])
+            placed.update(chain)
+            (paths if pred[v] < 0 else cycles).append(chain)
+    owner: dict[int, int] = {}  # path end -> index of its path
+    ends = 0
+
+    def mark(i: int, on: bool) -> None:
+        nonlocal ends
+        path = paths[i]
+        both = (1 << path[0]) | (1 << path[-1])
+        if on:
+            owner[path[0]] = owner[path[-1]] = i
+            ends |= both
+        else:
+            ends &= ~both
+
+    def append(path: list[int]) -> None:
+        paths.append(path)
+        mark(len(paths) - 1, True)
+
+    for i in range(len(paths)):
+        mark(i, True)
+    cmasks = [sum(1 << v for v in cycle) for cycle in cycles]
+    merged = 0  # cycles already merged into an earlier one
+    for c, cycle in enumerate(cycles):
+        if (merged >> c) & 1:
+            continue
+        cmask = cmasks[c]
+        reach = 0
+        for v in cycle:
+            reach |= adj[v]
+        if reach & ends:  # splice into the lowest path end that meets it
+            end = ((reach & ends) & -(reach & ends)).bit_length() - 1
+            i = owner[end]
+            path = paths[i]
+            mark(i, False)
+            if path[-1] != end:
+                path.reverse()
+            low = adj[end] & cmask
+            k = cycle.index((low & -low).bit_length() - 1)
+            path += cycle[k:] + cycle[:k]
+            mark(i, True)
+            continue
+        for d in range(c + 1, len(cycles)):
+            meet = reach & cmasks[d]
+            if meet and not (merged >> d) & 1:  # one path through both cycles
+                b = (meet & -meet).bit_length() - 1
+                low = adj[b] & cmask
+                k = cycle.index((low & -low).bit_length() - 1)
+                j = cycles[d].index(b)
+                append(cycle[k + 1:] + cycle[:k + 1] + cycles[d][j:] + cycles[d][:j])
+                merged |= 1 << d
+                break
+        else:
+            append(cycle)
+
+    count = len(paths)
+
+    def join_tail(i: int) -> bool:
+        """Join the tail of path i to the lowest other path end it meets."""
+        nonlocal count
+        path = paths[i]
+        meet = adj[path[-1]] & ends & ~(1 << path[0])
+        if not meet:
+            return False
+        end = (meet & -meet).bit_length() - 1
+        j = owner[end]
+        other = paths[j]
+        mark(j, False)
+        mark(i, False)
+        if other[0] != end:
+            other.reverse()
+        path += other
+        paths[j] = None
+        mark(i, True)
+        count -= 1
+        return True
+
+    def rotate_tail(i: int) -> bool:
+        """Rotate path i's tail, each vertex at most once, until it meets
+        another path's end; then join the two."""
+        path = paths[i]
+        if len(path) < 3:
+            return False
+        mark(i, False)
+        inside = sum(1 << v for v in path)
+        tried = 1 << path[-1]
+        for _ in range(len(path)):
+            pos = {v: k for k, v in enumerate(path)}
+            pivots = [pos[v] for v in bits(adj[path[-1]] & inside & ~(1 << path[-2]))]
+            meeting = [k for k in pivots if adj[path[k + 1]] & ends]
+            fresh = [k for k in pivots if not (tried >> path[k + 1]) & 1]
+            if not meeting and not fresh:
+                break
+            k = meeting[0] if meeting else min(fresh, key=lambda k: path[k + 1])
+            path[k + 1:] = reversed(path[k + 1:])
+            tried |= 1 << path[-1]
+            if meeting:
+                break
+        mark(i, True)
+        return join_tail(i)
+
+    for rotating in (False, True):
+        progress = True
+        while progress and count > target:
+            progress = False
+            for i in range(len(paths)):
+                for _ in range(2):  # the tail, then the head
+                    while paths[i] is not None and count > target and join_tail(i):
+                        progress = True
+                    if paths[i] is None or count == target:
+                        break
+                    if rotating and rotate_tail(i):
+                        progress = True
+                    paths[i].reverse()
+    return [path for path in paths if path is not None]
+
+
+def _sandwich(adj: tuple[int, ...], vertices: list[int]) -> tuple[int, list[list[int]]]:
+    """The certified lower bound on the minimum path cover of the connected
+    subgraph on ``vertices`` and the cover constructed from the same matching.
+    """
+    mask = sum(1 << v for v in vertices)
+    matching = _double_cover_matching(adj, mask)
+    lb = _cover_lower_bound(adj, mask, matching)[0]
+    return lb, _constructed_cover(adj, vertices, matching, lb)
 
 
 def _cover_component(adj: tuple[int, ...], vertices: list[int],
                      deadline: float | None) -> list[list[int]]:
     """Minimum path cover of the connected subgraph on ``vertices`` (ascending,
-    at least two, reached by no outside row): a Hamilton path from the
-    heuristic (a valid certificate) if it finds one, else the DP's. The
-    heuristic is skipped when the cover's lower bound is at least 2: no
-    Hamilton path exists there, so it could only miss.
+    at least two, reached by no outside row). The certified lower bound lb
+    comes first, then the cover built from the same double-cover matching:
+    one with lb paths is optimal and is returned at once. Only on a gap do
+    the searches run: the rotation heuristic where lb < 2 (where lb >= 2 no
+    Hamilton path exists, so it could only miss), then the quotient DP.
     """
-    found = None
-    if _cover_lower_bound(adj, sum(1 << v for v in vertices))[0] < 2:
-        found = _rotation_heuristic(adj, vertices, deadline)
-    paths = [found] if found is not None else _quotient_cover(adj, vertices, deadline)
+    lb, paths = _sandwich(adj, vertices)
+    if len(paths) > lb:
+        found = _rotation_heuristic(adj, vertices, deadline) if lb < 2 else None
+        paths = [found] if found is not None else _quotient_cover(adj, vertices, deadline)
     if not all((adj[a] >> b) & 1 for path in paths for a, b in zip(path, path[1:])):
         raise InternalError("path cover engine produced an invalid path")
     return paths
@@ -361,10 +527,11 @@ def path_cover_number(graph: Graph, *, deadline: float | None = None) -> PathCov
     """A minimum path cover of the graph, exact.
 
     Isolated vertices each contribute a trivial path; every other component
-    is settled by the heuristic or the quotient DP. On refusal the bounds
+    is settled by its constructed cover where that meets the certified lower
+    bound, else by the heuristic or the quotient DP. On refusal the bounds
     are sound: each component needs at least its certified lower bound of
-    paths (one for a singleton), and a connected component of m >= 2
-    vertices at most m - 1 (one edge plus singletons).
+    paths and at most the paths of its constructed cover, a real cover (one
+    each for a singleton).
     """
     paths: list[tuple[int, ...]] = []
     components = connected_components(graph)
@@ -375,11 +542,11 @@ def path_cover_number(graph: Graph, *, deadline: float | None = None) -> PathCov
         try:
             found = _cover_component(graph.adj, comp, deadline)
         except CapacityExceeded as exc:
+            bounds = [_sandwich(graph.adj, c) for c in components]
             raise CapacityExceeded(
                 str(exc),
-                lower_bound=sum(_cover_lower_bound(graph.adj, sum(1 << v for v in c))[0]
-                                for c in components),
-                upper_bound=sum(max(1, len(c) - 1) for c in components),
+                lower_bound=sum(lb for lb, _ in bounds),
+                upper_bound=sum(len(built) for _, built in bounds),
             ) from exc
         paths.extend(min(tuple(seq), tuple(reversed(seq))) for seq in found)
     paths.sort()

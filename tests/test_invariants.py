@@ -209,32 +209,68 @@ def test_path_cover_refusal_bounds_are_sound(monkeypatch):
     assert info.value.lower_bound <= 5 + 3 * 4 <= info.value.upper_bound
 
 
-def test_path_cover_refusal_reports_the_certified_lower_bound():
-    # 40 twin-free vertices A hanging off 8 vertices B: a path alternates
-    # between the sides, so at least 40 - 8 = 32 paths, and the path
-    # A B A ... B A through all of B plus 31 singletons is such a cover;
-    # the DP is refused, and the refusal reports 32, not one per component
+def bipartite_48():
+    """40 twin-free vertices A hanging off 8 vertices B: a path alternates
+    between the sides, so at least 40 - 8 = 32 paths, and the path
+    A B A ... B A through all of B plus 31 singletons is such a cover."""
     sides = [(0,)] + [(i, i + 1) for i in range(7)] + [(7,)]
     sides += [trio for trio in combinations(range(8), 3)][:31]
-    edges = [(8 + a, b) for a, side in enumerate(sides) for b in side]
+    return [(8 + a, b) for a, side in enumerate(sides) for b in side]
+
+
+def test_path_cover_refusal_reports_the_certified_lower_bound():
+    # the 48-vertex graph's constructed cover meets its bound 32, so the
+    # disjoint spider(29) is what the DP refuses; the refusal reports the
+    # certified 32 + 1, not one per component
+    edges = bipartite_48() + [(48 + u, 48 + v) for u, v in spider(29).edges()]
     with pytest.raises(CapacityExceeded) as info:
-        path_cover_number(Graph.from_edges(48, edges))
-    assert info.value.lower_bound == 32 <= info.value.upper_bound
+        path_cover_number(Graph.from_edges(48 + 59, edges))
+    assert info.value.lower_bound == 32 + 1 <= info.value.upper_bound
+
+
+def test_path_cover_refusal_reports_the_constructed_upper_bound():
+    # spider(29): lower bound 1, and the cover built from the matching is a
+    # real one of 28 paths, the minimum (Sigma (m - 1) would give 58)
+    with pytest.raises(CapacityExceeded) as info:
+        path_cover_number(spider(29))
+    assert (info.value.lower_bound, info.value.upper_bound) == (1, 28)
+
+
+def test_constructed_cover_settles_without_a_search():
+    # an expired deadline stops any heuristic or DP, so these are answered
+    # by a constructed cover that meets the certified lower bound (Z48's
+    # complement: 17 isolated vertices and a Hamilton path of the rest)
+    expired = time.monotonic() - 1.0
+    z2z2z5 = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(5))
+    for graph, count in ((complement(pg(make_cyclic(48))), 17 + 1),
+                         (complement(pg(z2z2z5)), 3),
+                         (Graph.from_edges(48, bipartite_48()), 32)):
+        cover = path_cover_number(graph, deadline=expired)
+        assert cover.count == count
+        assert_cover_valid(graph, cover)
 
 
 def test_deadline_reaches_the_heuristic():
-    # Z48's complement: its 31-vertex component has cover lower bound 1, so
-    # the heuristic runs, and it misses after thousands of steps
-    graph = complement(pg(make_cyclic(48)))
+    # Z384's complement: its 255-vertex component has cover lower bound 1,
+    # and the constructed cover has 6 paths, so the heuristic runs, and it
+    # misses after thousands of steps
+    graph = complement(pg(make_cyclic(384)))
     with pytest.raises(CapacityExceeded, match="heuristic"):
         path_cover_number(graph, deadline=time.monotonic() - 1.0)
 
 
+LOOSE_TREE = [(0, 9), (1, 3), (2, 8), (3, 13), (4, 9), (5, 9), (6, 8), (7, 15), (8, 15),
+              (9, 1), (10, 13), (11, 0), (12, 5), (13, 6), (14, 13)]
+
+
 def test_deadline_skips_a_heuristic_that_must_miss():
-    # Z2xZ2xZ5's complement has cover lower bound 2, so no Hamilton path
-    # exists and the heuristic is skipped: the DP is what the deadline stops
-    group = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(5))
-    graph = complement(pg(group))
+    # a 16-vertex tree (found by random search) with cover lower bound 4 and
+    # minimum cover 6: the constructed cover cannot meet the bound, no
+    # Hamilton path exists so the heuristic is skipped, and the DP (2^15.6
+    # states, admitted) is what the deadline stops
+    graph = Graph.from_edges(16, LOOSE_TREE)
+    assert invariants._cover_lower_bound(graph.adj, graph.full_mask)[0] == 4
+    assert path_cover_number(graph).count == 6
     with pytest.raises(CapacityExceeded, match="path-cover DP"):
         path_cover_number(graph, deadline=time.monotonic() - 1.0)
 

@@ -472,6 +472,19 @@ def test_lambda_exact_never_raises_capacity(monkeypatch):
                 assert report.exact == (report.value is not None)
 
 
+def test_z72_is_exact_without_a_search(monkeypatch):
+    # Z72 once took a heuristic miss and a 2^22.9-state DP with no budget;
+    # its constructed cover meets the certified lower bound, so neither runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path-cover search ran on Z72")
+
+    monkeypatch.setattr(invariants, "_rotation_heuristic", refuse)
+    monkeypatch.setattr(invariants, "_quotient_cover", refuse)
+    report = lambda_exact(make_cyclic(72))
+    assert report.exact and report.value == 100
+    assert validate_l21(pg(make_cyclic(72)), report.labeling).ok
+
+
 @pytest.mark.parametrize("make, order", [(make_dihedral, 12), (make_cyclic, 6)],
                          ids=["D12", "Z6"])
 def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):

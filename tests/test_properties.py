@@ -47,7 +47,7 @@ from lambda_power.groups import (
     from_permutations,
 )
 from lambda_power import invariants
-from lambda_power.invariants import _cover_lower_bound, _hamilton_path_on
+from lambda_power.invariants import _cover_lower_bound, _hamilton_path_on, _sandwich
 from lambda_power.labeling import _scattering_count, _twin_predecessors
 
 
@@ -278,10 +278,22 @@ def twin_blow_ups(draw, max_n=10):
     return Graph.from_edges(n, edges)
 
 
+def singletons(adj, vertices, matching, target):
+    """A stand-in for the constructed cover that never meets the lower bound
+    of a connected component on two or more vertices."""
+    return [[v] for v in vertices]
+
+
+def searches_only():
+    """Patch out the constructed cover and the heuristic, so the DP answers."""
+    return mock.patch.multiple(invariants, _constructed_cover=singletons,
+                               _rotation_heuristic=mock.Mock(return_value=None))
+
+
 @settings(max_examples=60, deadline=None)
 @given(twin_blow_ups())
 def test_quotient_engine_matches_brute_on_twin_blow_ups(graph):
-    with mock.patch.object(invariants, "_rotation_heuristic", return_value=None):
+    with searches_only():
         cover = path_cover_number(graph)
         hamilton = hamilton_path(graph)
     seen = []
@@ -313,6 +325,43 @@ def test_cover_lower_bound_is_sound(graph):
 @given(twin_blow_ups())
 def test_cover_lower_bound_is_sound_on_twin_blow_ups(graph):
     assert_cover_bounds_below_brute(graph)
+
+
+def assert_constructed_cover_is_sandwiched(graph):
+    lbs, counts = 0, 0
+    for comp in connected_components(graph):
+        lb, paths = _sandwich(graph.adj, comp)
+        assert sorted(v for path in paths for v in path) == comp
+        assert all(graph.adjacent(a, b) for path in paths for a, b in zip(path, path[1:]))
+        lbs, counts = lbs + lb, counts + len(paths)
+    brute = brute_path_cover_count(graph)
+    assert lbs <= brute <= counts
+    if counts == lbs:
+        assert counts == brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_constructed_cover_is_sandwiched(graph):
+    assert_constructed_cover_is_sandwiched(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_blow_ups())
+def test_constructed_cover_is_sandwiched_on_twin_blow_ups(graph):
+    assert_constructed_cover_is_sandwiched(graph)
+
+
+def test_constructed_cover_answers_the_corpus_without_a_search():
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran where the constructed cover meets the bound")
+
+    with mock.patch.object(invariants, "_rotation_heuristic", refuse), \
+            mock.patch.object(invariants, "_quotient_cover", refuse):
+        for spec, group in builtin_corpus(48):
+            target = complement(build_power_graph(group))
+            cover = path_cover_number(target)
+            assert sorted(v for path in cover.paths for v in path) == list(range(target.n)), spec
 
 
 def test_cover_lower_bound_is_exact_on_the_corpus():
@@ -375,8 +424,7 @@ def test_hamilton_path_over_a_vertex_set_matches_deleted_copy(graph, dp_only):
     n = graph.n
     graph = Graph.from_edges(n, graph.edges() + [(0, v) for v in range(1, n)])
     reduced, survivors = delete_vertex(graph, 0)
-    with mock.patch.object(invariants, "_rotation_heuristic",
-                           return_value=None) if dp_only else contextlib.nullcontext():
+    with searches_only() if dp_only else contextlib.nullcontext():
         expected = hamilton_path(reduced.complement)
         found = _hamilton_path_on(graph.complement.adj, graph.full_mask & ~1)
     if expected is not None:
