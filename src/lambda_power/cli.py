@@ -345,6 +345,9 @@ def _load_group(text: str) -> FiniteGroup | None:
 
 
 def cmd_lambda(args) -> int:
+    if args.budget_ms is not None and args.budget_ms < 0:
+        print(f"error: --budget-ms must be at least 0, got {args.budget_ms}", file=sys.stderr)
+        return 1
     group = _load_group(args.spec)
     if group is None:
         return 1

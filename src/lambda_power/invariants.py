@@ -2,15 +2,13 @@
 
 Everything here is deterministic: vertex scans ascend, branch orders are
 fixed, and witnesses come out canonical for a given graph. A path cover is
-settled per connected component. One maximum matching of the bipartite
-double cover gives both a certified lower bound lb and a constructed cover;
-when the cover has lb paths it is optimal, and no search runs. Only on a gap
-do the rotation heuristic (where lb < 2) and the quotient DP run. Exact
-routines refuse instances above the module limits instead of silently
-guessing: the clique search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the
-path-cover DP above ``2**DEFAULT_DP_LIMIT`` states. The rotation heuristic
-is only ever used to produce positive Hamilton-path certificates, never to
-conclude absence.
+settled per connected component in two stages. First, one maximum matching
+of the bipartite double cover gives both a certified lower bound lb and a
+constructed cover; when the cover has lb paths it is optimal. Only on a gap
+does the second stage, the exact quotient DP, run. Exact routines refuse
+instances above the module limits instead of silently guessing: the clique
+search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the path-cover DP above
+``2**DEFAULT_DP_LIMIT`` states.
 A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 """
@@ -114,44 +112,6 @@ def independence_number(graph: Graph) -> WitnessedValue:
     """Maximum independent set, computed as a clique of the complement."""
     found = clique_number(graph.complement)
     return WitnessedValue(found.value, found.witness, "independent-set")
-
-
-def _rotation_heuristic(adj: tuple[int, ...], vertices: list[int],
-                        deadline: float | None = None) -> list[int] | None:
-    """Greedy path growth with rotation extension; positive answers only."""
-    m = len(vertices)
-    budget = 4 * m * m + 16
-    ticks = 0
-    for start in vertices:
-        path = [start]
-        inset = 1 << start
-        steps = 0
-        while len(path) < m and steps < budget:
-            steps += 1
-            ticks += 1
-            if deadline is not None and (ticks & 1023) == 0 \
-                    and time.monotonic() > deadline:
-                raise CapacityExceeded("time budget exhausted during the Hamilton path heuristic")
-            tail = path[-1]
-            free = adj[tail] & ~inset
-            if free:
-                low = free & -free
-                path.append(low.bit_length() - 1)
-                inset |= low
-                continue
-            if adj[path[0]] & ~inset:
-                path.reverse()
-                continue
-            # Rotate: tail adjacent to path[i] makes path[i+1] the new tail,
-            # preferring a new tail that still has free neighbours.
-            pivots = [i for i in range(len(path) - 2) if (adj[tail] >> path[i]) & 1]
-            if not pivots:
-                break
-            i = next((i for i in pivots if adj[path[i + 1]] & ~inset), pivots[0])
-            path[i + 1:] = reversed(path[i + 1:])
-        if len(path) == m:
-            return path
-    return None
 
 
 def _twin_classes(adj: tuple[int, ...],
@@ -482,19 +442,8 @@ def _sandwich(adj: tuple[int, ...], vertices: list[int]) -> tuple[int, list[list
     return lb, _constructed_cover(adj, vertices, matching, lb)
 
 
-def _cover_component(adj: tuple[int, ...], vertices: list[int],
-                     deadline: float | None) -> list[list[int]]:
-    """Minimum path cover of the connected subgraph on ``vertices`` (ascending,
-    at least two, reached by no outside row). The certified lower bound lb
-    comes first, then the cover built from the same double-cover matching:
-    one with lb paths is optimal and is returned at once. Only on a gap do
-    the searches run: the rotation heuristic where lb < 2 (where lb >= 2 no
-    Hamilton path exists, so it could only miss), then the quotient DP.
-    """
-    lb, paths = _sandwich(adj, vertices)
-    if len(paths) > lb:
-        found = _rotation_heuristic(adj, vertices, deadline) if lb < 2 else None
-        paths = [found] if found is not None else _quotient_cover(adj, vertices, deadline)
+def _checked_paths(adj: tuple[int, ...], paths: list[list[int]]) -> list[list[int]]:
+    """The paths, once every step of each is checked to be an edge."""
     if not all((adj[a] >> b) & 1 for path in paths for a, b in zip(path, path[1:])):
         raise InternalError("path cover engine produced an invalid path")
     return paths
@@ -510,15 +459,18 @@ def _hamilton_path_on(adj: tuple[int, ...], mask: int,
         return tuple(vertices)
     if len(_masked_components(adj, mask)) > 1:
         return None
-    paths = _cover_component(adj, vertices, deadline)
+    lb, paths = _sandwich(adj, vertices)
+    if len(paths) > lb:
+        paths = _quotient_cover(adj, vertices, deadline)
+    paths = _checked_paths(adj, paths)
     return tuple(paths[0]) if len(paths) == 1 else None
 
 
 def hamilton_path(graph: Graph, *, deadline: float | None = None) -> tuple[int, ...] | None:
     """A Hamilton path of the graph, or None when provably absent.
 
-    Raises CapacityExceeded (inconclusive) when the heuristic finds nothing
-    and the quotient DP exceeds its state limit.
+    Raises CapacityExceeded (inconclusive) when the constructed cover misses
+    the certified lower bound and the quotient DP exceeds its state limit.
     """
     return _hamilton_path_on(graph.adj, graph.full_mask, deadline)
 
@@ -526,29 +478,29 @@ def hamilton_path(graph: Graph, *, deadline: float | None = None) -> tuple[int, 
 def path_cover_number(graph: Graph, *, deadline: float | None = None) -> PathCover:
     """A minimum path cover of the graph, exact.
 
-    Isolated vertices each contribute a trivial path; every other component
-    is settled by its constructed cover where that meets the certified lower
-    bound, else by the heuristic or the quotient DP. On refusal the bounds
-    are sound: each component needs at least its certified lower bound of
-    paths and at most the paths of its constructed cover, a real cover (one
-    each for a singleton).
+    Each component's sandwich is computed once: its certified lower bound
+    and the cover constructed from the same matching (a trivial path for a
+    singleton). Where the two meet the cover is optimal; elsewhere the
+    quotient DP settles the component. On refusal the bounds are sound: the
+    sums over all components of the lower bounds and of the constructed
+    covers, which are real covers.
     """
-    paths: list[tuple[int, ...]] = []
+    adj = graph.adj
     components = connected_components(graph)
-    for comp in components:
-        if len(comp) == 1:
-            paths.append((comp[0],))
-            continue
-        try:
-            found = _cover_component(graph.adj, comp, deadline)
-        except CapacityExceeded as exc:
-            bounds = [_sandwich(graph.adj, c) for c in components]
-            raise CapacityExceeded(
-                str(exc),
-                lower_bound=sum(lb for lb, _ in bounds),
-                upper_bound=sum(len(built) for _, built in bounds),
-            ) from exc
-        paths.extend(min(tuple(seq), tuple(reversed(seq))) for seq in found)
+    sandwiches = [(1, [comp]) if len(comp) == 1 else _sandwich(adj, comp)
+                  for comp in components]
+    paths: list[tuple[int, ...]] = []
+    for comp, (lb, found) in zip(components, sandwiches):
+        if len(found) > lb:
+            try:
+                found = _quotient_cover(adj, comp, deadline)
+            except CapacityExceeded as exc:
+                raise CapacityExceeded(
+                    str(exc),
+                    lower_bound=sum(lb for lb, _ in sandwiches),
+                    upper_bound=sum(len(built) for _, built in sandwiches),
+                ) from exc
+        paths.extend(min(tuple(seq), tuple(reversed(seq))) for seq in _checked_paths(adj, found))
     paths.sort()
     return PathCover(tuple(paths))
 

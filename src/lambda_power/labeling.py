@@ -601,6 +601,8 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     """
     if method not in ("auto", "ledger", "pathcover", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
+    if budget_ms is not None and budget_ms < 0:
+        raise ValueError(f"budget_ms must be at least 0, got {budget_ms}")
     started = time.monotonic()
     deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
     graph = build_power_graph(g)

@@ -1,8 +1,11 @@
 """Spec parsing, command behavior, exit codes and export formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambda_power import __version__, invariants
 from lambda_power.cli import (
@@ -90,6 +93,44 @@ def test_parse_rejects_bad_cycles_with_position():
     assert info.value.position == 3
 
 
+# The spec grammar's alphabet, with integers up to 64 and cycle entries up to 5.
+SPEC_TOKENS = ("Z", "C", "D", "Q", "A5", "A", "perm:", "x", ";", "(", ")", " ")
+cycle = st.lists(st.integers(0, 5), min_size=1, max_size=4).map(
+    lambda entries: "(" + " ".join(map(str, entries)) + ")")
+atom = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("ZCDQ"), st.integers(0, 64)),
+    st.just("A5"),
+    st.lists(st.lists(cycle, min_size=1, max_size=3).map("".join), min_size=1, max_size=2)
+    .map(lambda generators: "perm:" + ";".join(generators)))
+grammatical = st.lists(atom, min_size=1, max_size=3).map("x".join)
+spec_texts = st.one_of(
+    grammatical,
+    st.tuples(grammatical, st.integers(0, 40)).map(lambda cut: cut[0][:cut[1]]),
+    st.lists(st.one_of(st.sampled_from(SPEC_TOKENS), st.integers(0, 64).map(str)),
+             max_size=8).map("".join))
+
+
+def descriptor_order(descriptor):
+    """The order of the group a descriptor names, building no product table."""
+    if descriptor.family == "product":
+        return descriptor_order(descriptor.params[0]) * descriptor_order(descriptor.params[1])
+    return build_group(descriptor).order
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_texts)
+def test_fuzzed_specs_parse_or_fail_with_a_position(text):
+    try:
+        descriptor = parse_group_spec(text)
+    except GroupSpecError as exc:
+        assert 0 <= exc.position <= len(text)
+        descriptor = None
+    if descriptor is None or descriptor_order(descriptor) <= 64:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["lambda", text, "--json", "--budget-ms", "200"])
+        assert code in (0, 1, 2, 3)
+
+
 def test_text_and_json_report_the_same_group_name(capsys):
     _, text_out, _ = run(capsys, "lambda", "perm:(2 3 1)")
     _, json_out, _ = run(capsys, "lambda", "perm:(2 3 1)", "--json")
@@ -143,6 +184,13 @@ def test_cmd_lambda_rejects_negative_dp_limit(capsys):
     code, _, err = run(capsys, "lambda", "Z6", "--dp-limit", "-5")
     assert code == 1
     assert "--dp-limit" in err
+
+
+def test_cmd_lambda_rejects_a_negative_budget(capsys):
+    code, out, err = run(capsys, "lambda", "Z30", "--budget-ms", "-5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --budget-ms must be at least 0, got -5\n"
 
 
 @pytest.mark.parametrize("argv", [("lambda", "Z6", "--dp-limit", "5"),

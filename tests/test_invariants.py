@@ -1,6 +1,7 @@
 """Clique, independence, Hamilton path, path cover and structural probes."""
 
 import inspect
+import re
 import time
 from itertools import combinations
 
@@ -142,7 +143,8 @@ def test_hamilton_on_star_is_solved_through_twins():
 
 
 def test_hamilton_capacity_when_heuristic_fails():
-    # the heuristic misses, and 59 twin-free vertices exceed 2^24 DP states
+    # the constructed cover (28 paths) misses the lower bound 1, and the DP
+    # over 59 twin-free vertices would exceed 2^24 states
     with pytest.raises(CapacityExceeded):
         hamilton_path(spider(29))
 
@@ -237,7 +239,7 @@ def test_path_cover_refusal_reports_the_constructed_upper_bound():
 
 
 def test_constructed_cover_settles_without_a_search():
-    # an expired deadline stops any heuristic or DP, so these are answered
+    # an expired deadline stops any DP, so these are answered
     # by a constructed cover that meets the certified lower bound (Z48's
     # complement: 17 isolated vertices and a Hamilton path of the rest)
     expired = time.monotonic() - 1.0
@@ -250,24 +252,29 @@ def test_constructed_cover_settles_without_a_search():
         assert_cover_valid(graph, cover)
 
 
-def test_deadline_reaches_the_heuristic():
-    # Z384's complement: its 255-vertex component has cover lower bound 1,
-    # and the constructed cover has 6 paths, so the heuristic runs, and it
-    # misses after thousands of steps
-    graph = complement(pg(make_cyclic(384)))
-    with pytest.raises(CapacityExceeded, match="heuristic"):
-        path_cover_number(graph, deadline=time.monotonic() - 1.0)
+@pytest.mark.parametrize("order, states, window", [(384, "2^47.0", (130, 135)),
+                                                   (768, "2^61.1", (258, 264))],
+                         ids=["Z384", "Z768"])
+def test_cover_gap_goes_straight_to_the_dp(order, states, window):
+    # the constructed cover misses the certified lower bound on one
+    # component, and with no deadline the DP refuses at once; the window
+    # holds the closed-form cover (130 for Z384, 258 for Z768)
+    graph = complement(pg(make_cyclic(order)))
+    started = time.monotonic()
+    with pytest.raises(CapacityExceeded, match=re.escape(f"needs {states} states")) as info:
+        path_cover_number(graph)
+    assert time.monotonic() - started < 5.0
+    assert (info.value.lower_bound, info.value.upper_bound) == window
 
 
 LOOSE_TREE = [(0, 9), (1, 3), (2, 8), (3, 13), (4, 9), (5, 9), (6, 8), (7, 15), (8, 15),
               (9, 1), (10, 13), (11, 0), (12, 5), (13, 6), (14, 13)]
 
 
-def test_deadline_skips_a_heuristic_that_must_miss():
+def test_deadline_reaches_the_dp():
     # a 16-vertex tree (found by random search) with cover lower bound 4 and
-    # minimum cover 6: the constructed cover cannot meet the bound, no
-    # Hamilton path exists so the heuristic is skipped, and the DP (2^15.6
-    # states, admitted) is what the deadline stops
+    # minimum cover 6: the constructed cover cannot meet the bound, so the
+    # DP (2^15.6 states, admitted) runs, and the deadline stops it
     graph = Graph.from_edges(16, LOOSE_TREE)
     assert invariants._cover_lower_bound(graph.adj, graph.full_mask)[0] == 4
     assert path_cover_number(graph).count == 6
@@ -286,8 +293,8 @@ def test_negative_dp_limit_is_rejected():
 
 
 def test_no_public_function_takes_a_limit_keyword():
-    # the limits are module constants, and the heuristic always runs where
-    # a Hamilton path may exist
+    # the limits are module constants, and a cover gap always goes to the
+    # one DP
     knobs = {"dp_limit", "use_heuristic", "span_budget", "limit", "max_order"}
     checked = 0
     for module in (cli, groups, invariants, labeling, oracle, powergraph):

@@ -472,13 +472,22 @@ def test_lambda_exact_never_raises_capacity(monkeypatch):
                 assert report.exact == (report.value is not None)
 
 
+def test_negative_budget_is_rejected_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_exact started on a negative budget")
+
+    monkeypatch.setattr(labeling_module, "build_power_graph", refuse)
+    monkeypatch.setattr(labeling_module, "bound_ledger", refuse)
+    with pytest.raises(ValueError, match="budget_ms must be at least 0, got -1"):
+        lambda_exact(make_cyclic(30), budget_ms=-1)
+
+
 def test_z72_is_exact_without_a_search(monkeypatch):
-    # Z72 once took a heuristic miss and a 2^22.9-state DP with no budget;
-    # its constructed cover meets the certified lower bound, so neither runs
+    # Z72 once took a 2^22.9-state DP with no budget; its constructed cover
+    # meets the certified lower bound, so the DP does not run
     def refuse(*args, **kwargs):
         raise AssertionError("a path-cover search ran on Z72")
 
-    monkeypatch.setattr(invariants, "_rotation_heuristic", refuse)
     monkeypatch.setattr(invariants, "_quotient_cover", refuse)
     report = lambda_exact(make_cyclic(72))
     assert report.exact and report.value == 100
