@@ -457,10 +457,11 @@ def _hamilton_path_on(adj: tuple[int, ...], mask: int,
     vertices = list(bits(mask))
     if len(vertices) <= 1:
         return tuple(vertices)
-    if len(_masked_components(adj, mask)) > 1:
-        return None
-    lb, paths = _sandwich(adj, vertices)
-    if len(paths) > lb:
+    matching = _double_cover_matching(adj, mask)
+    if _cover_lower_bound(adj, mask, matching)[0] > 1:
+        return None  # certified: no single path covers it
+    paths = _constructed_cover(adj, vertices, matching, 1)
+    if len(paths) > 1:
         paths = _quotient_cover(adj, vertices, deadline)
     paths = _checked_paths(adj, paths)
     return tuple(paths[0]) if len(paths) == 1 else None
@@ -469,8 +470,9 @@ def _hamilton_path_on(adj: tuple[int, ...], mask: int,
 def hamilton_path(graph: Graph, *, deadline: float | None = None) -> tuple[int, ...] | None:
     """A Hamilton path of the graph, or None when provably absent.
 
-    Raises CapacityExceeded (inconclusive) when the constructed cover misses
-    the certified lower bound and the quotient DP exceeds its state limit.
+    A certified lower bound of 2 or more answers None before any cover is
+    built. Raises CapacityExceeded (inconclusive) when the bound is 1, the
+    constructed cover has more paths and the quotient DP exceeds its limits.
     """
     return _hamilton_path_on(graph.adj, graph.full_mask, deadline)
 

@@ -166,11 +166,15 @@ class LambdaReport:
     notes: tuple[str, ...] = ()
 
 
+def _degree_order(graph: Graph) -> list[int]:
+    """Vertices by descending degree, ties to the lower index."""
+    return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+
+
 def _greedy_clique(graph: Graph) -> tuple[int, ...]:
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     chosen: list[int] = []
     mask = 0
-    for v in order:
+    for v in _degree_order(graph):
         if graph.adj[v] & mask == mask:
             chosen.append(v)
             mask |= 1 << v
@@ -251,10 +255,6 @@ def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> Lab
     return _checked(graph, labels, expected_span=n - 1 if r == 1 else n + r - 2)
 
 
-def _backtrack_order(graph: Graph) -> list[int]:
-    return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-
-
 def _twin_predecessors(graph: Graph) -> list[int]:
     """prev_twin[v]: previous vertex in v's twin class by index, or -1.
 
@@ -273,10 +273,9 @@ def _twin_predecessors(graph: Graph) -> list[int]:
 
 
 def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
-                   injective: bool, deadline: float | None) -> list[int] | None:
+                   deadline: float | None) -> list[int] | None:
     n = graph.n
     adj = graph.adj
-    d2 = graph.distance_two
     full = (1 << (k + 1)) - 1
     domains = [full] * n
     labels = [-1] * n
@@ -288,7 +287,7 @@ def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
         if pos == n:
             return True
         v = order[pos]
-        cand = domains[v] & ~used if injective else domains[v]
+        cand = domains[v] & ~used
         twin = prev_twin[v]
         if twin >= 0 and labels[twin] >= 0:
             cand &= ~((1 << labels[twin]) - 1)  # no smaller than the earlier twin
@@ -299,10 +298,8 @@ def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
             if deadline is not None and (ticks & 2047) == 0 \
                     and time.monotonic() > deadline:
                 raise CapacityExceeded("time budget exhausted during span search")
-            lab = low.bit_length() - 1
-            labels[v] = lab
-            if injective:
-                used |= low
+            labels[v] = low.bit_length() - 1
+            used |= low
             near = low | (low << 1) | (low >> 1)
             trail: list[tuple[int, int]] = []
             ok = True
@@ -317,30 +314,15 @@ def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
                     if not new:
                         ok = False
                         break
-            if ok:
-                for u in bits(d2[v]):
-                    if labels[u] >= 0:
-                        continue
-                    old = domains[u]
-                    new = old & ~low
-                    if new != old:
-                        domains[u] = new
-                        trail.append((u, old))
-                        if not new:
-                            ok = False
-                            break
             if ok and place(pos + 1):
                 return True
             for u, old in trail:
                 domains[u] = old
             labels[v] = -1
-            if injective:
-                used &= ~low
+            used &= ~low
         return False
 
-    if place(0):
-        return list(labels)
-    return None
+    return list(labels) if place(0) else None
 
 
 def _scattering_count(graph: Graph, s: int) -> int:
@@ -357,39 +339,39 @@ def _scattering_count(graph: Graph, s: int) -> int:
 
 
 def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> Labeling:
-    """Optimal labeling by iterative deepening on the candidate span.
+    """Optimal labeling of a diameter <= 2 graph by iterative deepening on the span.
 
     Each deepening step either finds a labeling of that span or proves none
     exists, so the first labeling found has the lambda number as its span;
     the labeling 0, 2, ..., 2n - 2 always fits, so the deepening ends there.
-    Graphs above ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. Vertices
-    are tried by descending degree, labels ascending, with forward checking;
-    on diameter <= 2 graphs labels are additionally forced pairwise distinct.
+    Graphs above ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. At
+    diameter <= 2 every two vertices are within distance two, so labels are
+    pairwise distinct; vertices are tried by descending degree, labels
+    ascending, with forward checking on the neighbors.
 
-    The deepening starts at 2*omega - 2, and on a diameter <= 2 graph at
-    n + r - 2 for r a certified lower bound on the complement's minimum path
-    cover: labels there are distinct, and each run of consecutive labels is
-    a complement path, so a labeling needs at least r runs and r - 1 gaps.
-    Only the set S of ``_cover_lower_bound`` is taken; r is recounted from
-    S by ``_scattering_count``, which shares no code with the matching or
-    the path-cover DP, so the search stays an independent check.
+    The deepening starts at the larger of 2*omega - 2 and n + r - 2, for r a
+    certified lower bound on the complement's minimum path cover: each run
+    of consecutive labels is a complement path, so a labeling needs at least
+    r runs and r - 1 gaps. Only the set S of ``_cover_lower_bound`` is taken;
+    r is recounted from S by ``_scattering_count``, which shares no code with
+    the matching or the path-cover DP, so the search stays an independent
+    check.
     """
     n = graph.n
     if n == 0:
         raise ValueError("graph must have at least one vertex")
+    if not diameter_at_most_two(graph):
+        raise ValueError("backtracking requires a graph of diameter at most 2")
     if n > DEFAULT_BACKTRACK_LIMIT:
         raise CapacityExceeded(
             f"backtracking limited to {DEFAULT_BACKTRACK_LIMIT} vertices, got {n}")
-    injective = diameter_at_most_two(graph)
-    omega = clique_number(graph).value
-    lower = 2 * omega - 2
-    if injective:
-        certificate = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
-        lower = max(lower, n + _scattering_count(graph, certificate) - 2)
-    order = _backtrack_order(graph)
+    certificate = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
+    lower = max(2 * clique_number(graph).value - 2,
+                n + _scattering_count(graph, certificate) - 2)
+    order = _degree_order(graph)
     prev_twin = _twin_predecessors(graph)
     for k in range(lower, 2 * n - 1):
-        found = _span_feasible(graph, k, order, prev_twin, injective, deadline)
+        found = _span_feasible(graph, k, order, prev_twin, deadline)
         if found is not None:
             return _checked(graph, found, expected_span=k)
     raise InternalError(f"no labeling found up to span {2 * n - 2}")

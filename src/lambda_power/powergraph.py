@@ -1,6 +1,7 @@
 """Simple undirected graphs over bitmask adjacency rows.
 
-A graph is only its rows, and the solver modules accept any simple graph.
+A graph is only its rows. The invariants accept any simple graph; the two
+span searches take graphs of diameter at most 2, as every power graph is.
 Vertices are 0-based; adjacency row v is an int whose bit u says u and v are
 adjacent, so neighborhood intersections are single ANDs. A group builds its
 power graph once; ``build_power_graph`` hands it out. Every construction

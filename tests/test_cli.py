@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lambda_power import __version__, invariants
 from lambda_power.cli import (
@@ -16,7 +16,7 @@ from lambda_power.cli import (
     main,
     parse_group_spec,
 )
-from lambda_power.errors import GroupSpecError
+from lambda_power.errors import CapacityExceeded, GroupSpecError
 
 
 def run(capsys, *argv):
@@ -44,6 +44,14 @@ def test_parse_permutations():
     g = group_from_text("perm:(1 2 3 4 5);(1 2 3)")
     assert g.order == 60
     assert group_from_text("perm:(1 2)(3 4)").order == 2
+
+
+@pytest.mark.parametrize("text", ["Z\u00b2", "Z\u0663", "Z\uff13"],
+                         ids=["superscript-two", "arabic-indic-three", "fullwidth-three"])
+def test_parse_accepts_only_ascii_digits(text):
+    with pytest.raises(GroupSpecError, match="expected an integer") as info:
+        parse_group_spec(text)
+    assert info.value.position == 1
 
 
 def test_parse_errors_carry_position():
@@ -93,8 +101,10 @@ def test_parse_rejects_bad_cycles_with_position():
     assert info.value.position == 3
 
 
-# The spec grammar's alphabet, with integers up to 64 and cycle entries up to 5.
-SPEC_TOKENS = ("Z", "C", "D", "Q", "A5", "A", "perm:", "x", ";", "(", ")", " ")
+# The spec grammar's alphabet, with integers up to 64 and cycle entries up to 5,
+# plus two characters that are digits to str.isdigit but not to the grammar.
+SPEC_TOKENS = ("Z", "C", "D", "Q", "A5", "A", "perm:", "x", ";", "(", ")", " ",
+               "\u00b2", "\u0663")
 cycle = st.lists(st.integers(0, 5), min_size=1, max_size=4).map(
     lambda entries: "(" + " ".join(map(str, entries)) + ")")
 atom = st.one_of(
@@ -111,24 +121,31 @@ spec_texts = st.one_of(
 
 
 def descriptor_order(descriptor):
-    """The order of the group a descriptor names, building no product table."""
+    """The order of the group a descriptor names, building no product table;
+    None when an atom is over the order cap."""
     if descriptor.family == "product":
-        return descriptor_order(descriptor.params[0]) * descriptor_order(descriptor.params[1])
-    return build_group(descriptor).order
+        left, right = (descriptor_order(part) for part in descriptor.params)
+        return None if left is None or right is None else left * right
+    try:
+        return build_group(descriptor).order
+    except CapacityExceeded:
+        return None
 
 
 @settings(max_examples=150, deadline=None)
 @given(spec_texts)
+@example("Z11000")
 def test_fuzzed_specs_parse_or_fail_with_a_position(text):
     try:
         descriptor = parse_group_spec(text)
     except GroupSpecError as exc:
         assert 0 <= exc.position <= len(text)
         descriptor = None
-    if descriptor is None or descriptor_order(descriptor) <= 64:
+    order = 0 if descriptor is None else descriptor_order(descriptor)
+    if order is None or order <= 64:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["lambda", text, "--json", "--budget-ms", "200"])
-        assert code in (0, 1, 2, 3)
+        assert code == 1 if order is None else code in (0, 1, 2, 3)
 
 
 def test_text_and_json_report_the_same_group_name(capsys):

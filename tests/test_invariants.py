@@ -282,6 +282,13 @@ def test_deadline_reaches_the_dp():
         path_cover_number(graph, deadline=time.monotonic() - 1.0)
 
 
+def test_hamilton_is_settled_by_the_lower_bound():
+    # lower bound 4 proves there is no Hamilton path, so neither the cover
+    # construction nor the DP runs, and an expired deadline is never checked
+    graph = Graph.from_edges(16, LOOSE_TREE)
+    assert hamilton_path(graph, deadline=time.monotonic() - 1) is None
+
+
 def test_negative_dp_limit_is_rejected():
     # the DP cap is a module constant: a call that still passes dp_limit is
     # refused when its arguments are bound, before the body runs

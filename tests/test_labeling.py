@@ -94,16 +94,21 @@ def test_backtrack_klein():
 
 def test_backtrack_matches_brute_on_small_graphs():
     graphs = [
-        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
         Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
         Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-        Graph.from_edges(4, []),
         pg(make_cyclic(5)),
     ]
     for graph in graphs:
         labeling = lambda_backtrack(graph)
         assert labeling.span == brute_lambda(graph)
         assert check_l21(graph, labeling.labels)
+
+
+@pytest.mark.parametrize("graph", [Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                                   Graph.from_edges(4, [])], ids=["P4", "edgeless"])
+def test_backtrack_requires_diameter_two(graph):
+    with pytest.raises(ValueError, match="diameter at most 2"):
+        lambda_backtrack(graph)
 
 
 def test_backtrack_trusts_only_the_recounted_cover_bound(monkeypatch):

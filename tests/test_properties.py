@@ -5,6 +5,7 @@ import random
 from functools import reduce
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -372,6 +373,10 @@ def test_cover_lower_bound_is_exact_on_the_corpus():
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=5))
 def test_backtrack_matches_brute(graph):
+    if not diameter_at_most_two(graph):
+        with pytest.raises(ValueError):
+            lambda_backtrack(graph)
+        return
     labeling = lambda_backtrack(graph)
     assert labeling.span == brute_lambda(graph)
     assert check_l21(graph, labeling.labels)
