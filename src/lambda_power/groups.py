@@ -2,35 +2,39 @@
 
 Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
-Constructors validate every table they hand out: the group laws row by row,
-and associativity exhaustively up to order 64 (row ab against row b read
-through row a) and on 10,000 seeded random triples above that. Tables are
-built a row or a column at a time from slices and maps, so their rows share
-int objects. A product, at any nesting, builds its atoms and then its one
-table from their rows, once its order has passed the limit; no partial
-product is built or validated. A group builds once, on first use, one walk
-per distinct cyclic subgroup, and from those walks its maximal cyclic
+Constructors validate every table they hand out, by one check at every
+order: the identity, inverse and Lagrange laws element by element, then
+Light's associativity test on a generating set read off the table. The
+generators are picked greedily, largest element order first, until the
+identity's closure under right multiplication by them reaches every element;
+no group of order n needs more than log2 n of them. For each generator a,
+row xa must equal row x read through row a, for every x. That proves
+associativity, and with the generator rows checked to be permutations it
+proves every row is one. The check costs n^2 lookups per generator, so it
+grows with the number of generators: on one machine (x86-64, Python 3.11)
+Z2^13, with 13, takes 18–20 s to build, where a permutation check of
+every row plus 10,000 sampled triples took about 6 s. Tables are built a
+row or a column at a time from slices and maps, so their rows share int
+objects. A product, at any nesting, builds its atoms and then its one table
+from their rows, once its order has passed the limit; no partial product is
+built or validated. A group builds once, on first use, one walk per
+distinct cyclic subgroup, and from those walks its maximal cyclic
 subgroups and its power graph.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 from math import gcd, prod
-from operator import getitem, itemgetter
+from operator import eq, itemgetter, ne
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, bits
 
 DEFAULT_MAX_ORDER = 10000
-
-_EXHAUSTIVE_LIMIT = 64
-_SAMPLE_TRIPLES = 10000
-_SAMPLE_SEED = 20240
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -192,9 +196,11 @@ def _orders_and_inverses(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
 
 
 def _validate_table(group: FiniteGroup) -> None:
+    """The group laws element by element, then Light's associativity test on
+    a generating set read off the table: (xa)y = x(ay) for every generator a
+    and all x, y proves (xb)y = x(by) for every b the generators reach."""
     n = group.order
     table = group.table
-    everyone = frozenset(range(n))
     for x in range(n):
         if table[0][x] != x or table[x][0] != x:
             raise InternalError(f"identity law fails at element {x}")
@@ -202,34 +208,76 @@ def _validate_table(group: FiniteGroup) -> None:
             raise InternalError(f"inverse law fails at element {x}")
         if group.orders[x] < 1 or n % group.orders[x] != 0:
             raise InternalError(f"order of element {x} violates Lagrange")
-        if frozenset(table[x]) != everyone:
-            raise InternalError(f"row {x} of the Cayley table is not a permutation")
     if group.orders[0] != 1:
         raise InternalError("identity must have order 1")
-    if n == 1:
-        return  # the identity law fixed the one entry; itemgetter(0) would return it bare
-    if n <= _EXHAUSTIVE_LIMIT:
-        # (ab)c = a(bc) for every c at once: row ab is row b read through row a.
-        readers = [itemgetter(*row) for row in table]
-        for a, row in enumerate(table):
-            if list(map(table.__getitem__, row)) != [read(row) for read in readers]:
-                b, c = next((b, c) for b in range(n) for c in range(n)
-                            if table[row[b]][c] != row[table[b][c]])
-                raise InternalError(f"associativity fails at ({a}, {b}, {c})")
-        return
-    draws = random.Random(_SAMPLE_SEED).choices(range(n), k=3 * _SAMPLE_TRIPLES)
-    a, b, c = draws[0::3], draws[1::3], draws[2::3]
-    rows_a = list(map(table.__getitem__, a))
-    left = map(getitem, map(table.__getitem__, map(getitem, rows_a, b)), c)
-    right = map(getitem, rows_a, map(getitem, map(table.__getitem__, b), c))
-    if list(left) != list(right):
-        i = next(i for i in range(_SAMPLE_TRIPLES)
-                 if table[table[a[i]][b[i]]][c[i]] != table[a[i]][table[b[i]][c[i]]])
-        raise InternalError(f"associativity fails at ({a[i]}, {b[i]}, {c[i]})")
+    try:
+        for a in _generating_set(table, group.orders):
+            # Row xa must be row x read through row a, compared a row at a time.
+            products = map(table.__getitem__, map(itemgetter(a), table))
+            if not all(map(eq, products, map(itemgetter(*table[a]), table))):
+                raise InternalError(f"associativity fails at {_first_non_associative(table)}")
+    except (IndexError, TypeError) as exc:
+        raise _bad_entry(exc) from exc
+
+
+def _bad_entry(exc: Exception) -> InternalError:
+    return InternalError(f"Cayley table holds an entry that is not an element index ({exc})")
+
+
+def _generating_set(table: Sequence[Sequence[int]], orders: Sequence[int]) -> list[int]:
+    """Generators picked greedily until the identity's closure under right
+    multiplication by them reaches every element: each is the unreached
+    element of largest order, the smallest index on ties.
+
+    Each generator row is checked to be a permutation; every other row is then
+    one too once Light's test passes, since row xa is row x read through row a.
+    In a group each new generator at least doubles the closure, so a table that
+    needs more than log2 n generators is refused.
+    """
+    n = len(table)
+    everyone = frozenset(range(n))
+    reached = bytearray(n)
+    reached[0] = 1
+    members = [0]
+    generators: list[int] = []
+    columns: list[tuple[int, ...]] = []
+    for a in sorted(range(n), key=orders.__getitem__, reverse=True):  # stable on ties
+        if reached[a]:
+            continue
+        if len(generators) == n.bit_length() - 1:
+            raise InternalError(f"Cayley table needs more than {len(generators)} generators, "
+                                f"which no group of order {n} does")
+        if frozenset(table[a]) != everyone:
+            raise InternalError(f"row {a} of the Cayley table is not a permutation")
+        generators.append(a)
+        columns.append(tuple(map(itemgetter(a), table)))
+        closed = len(members)  # the closure so far needs only the new column
+        for i, x in enumerate(members):  # grows while it is walked
+            for column in columns[-1:] if i < closed else columns:
+                y = column[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    members.append(y)
+    return generators
+
+
+def _first_non_associative(table: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """The first (a, b, c) with (ab)c != a(bc) in lexicographic order, on a
+    table known to have one: row ab against row b read through row a."""
+    for a in count():
+        row = table[a]
+        composed = (itemgetter(*table_b)(row) for table_b in table)
+        b = next(compress(count(), map(ne, map(table.__getitem__, row), composed)), None)
+        if b is not None:
+            c = next(c for c in count() if table[row[b]][c] != row[table[b][c]])
+            return a, b, c
 
 
 def _finalize(table: tuple[tuple[int, ...], ...], descriptor: GroupDescriptor) -> FiniteGroup:
-    orders, inverses = _orders_and_inverses(table)
+    try:
+        orders, inverses = _orders_and_inverses(table)
+    except (IndexError, TypeError) as exc:
+        raise _bad_entry(exc) from exc
     group = FiniteGroup(
         order=len(table),
         table=table,

@@ -5,7 +5,8 @@ enumeration, Hamilton paths from pruned sequence enumeration, path covers
 from explicit set-partition enumeration and spans from exhaustive label
 assignment over breadth-first distances. The row check and the labeling
 check are the per-edge and per-pair scans that the row-at-a-time kernels
-of ``Graph`` and ``validate_l21`` must agree with.
+of ``Graph`` and ``validate_l21`` must agree with. Group tables are
+checked on every triple.
 """
 
 from __future__ import annotations
@@ -234,3 +235,17 @@ def pair_product_table(g_table, h_table) -> tuple[tuple[int, ...], ...]:
               for a2 in range(len(g_table)) for b2 in range(hn))
         for a1 in range(len(g_table)) for b1 in range(hn)
     )
+
+
+def is_group_table(table, inverses) -> bool:
+    """Every row an int permutation of the indices, 0 the identity, inverses[x]
+    a right inverse of x, and (ab)c = a(bc) on every triple."""
+    n = len(table)
+    indices = list(range(n))
+    if not all(len(row) == n and all(type(v) is int for v in row) and sorted(row) == indices
+               for row in table):
+        return False
+    return (all(table[0][x] == x == table[x][0] and table[x][inverses[x]] == 0
+                for x in indices)
+            and all(table[table[a][b]][c] == table[a][table[b][c]]
+                    for a in indices for b in indices for c in indices))

@@ -22,8 +22,14 @@ from lambda_power import (
     permutation_from_cycles,
 )
 from lambda_power import groups
-from lambda_power.cli import parse_group_spec
-from lambda_power.groups import GroupDescriptor, _finalize, _validate_table, from_descriptor
+from lambda_power.cli import builtin_corpus, group_from_text, parse_group_spec
+from lambda_power.groups import (
+    GroupDescriptor,
+    _finalize,
+    _generating_set,
+    _validate_table,
+    from_descriptor,
+)
 
 A5_IMAGES = [permutation_from_cycles([(1, 2, 3, 4, 5)]),
              permutation_from_cycles([(1, 2, 3)])]
@@ -372,6 +378,84 @@ def test_sampled_validation_refuses_a_non_associative_table_above_order_64():
     assert z100.order > 64
     with pytest.raises(InternalError, match="associativity fails at"):
         broken(z100, table=table, inverses=inverses)
+
+
+def test_a_swap_in_a_non_generator_row_of_d1024_is_refused():
+    # Row 3 of D1024 (the rotation a^3, inverse a^509 at index 509) is no
+    # generator. Swapping its entries 5 and 600 keeps the identity, inverse
+    # and Lagrange laws and breaks 8,176 of the 1024^3 triples, so 10,000
+    # random triples would all miss them with probability about 0.93.
+    d1024 = make_dihedral(1024)
+    assert 3 not in _generating_set(d1024.table, d1024.orders)
+    row = list(d1024.table[3])
+    row[5], row[600] = row[600], row[5]
+    table = with_row(d1024.table, 3, row)
+    n = d1024.order
+    first = next((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if table[table[a][b]][c] != table[a][table[b][c]])
+    assert first == (1, 2, 5)
+    with pytest.raises(InternalError, match=re.escape(f"associativity fails at {first}") + "$"):
+        broken(d1024, table=table)
+
+
+def test_light_test_runs_on_every_generator():
+    # Z2^3 with entries 2 and 5 of row 6 and entries 3 and 4 of row 7 swapped:
+    # (x1)y = x(1y) still holds for all x and y, so only the later generators
+    # 2 and 4 expose the table.
+    z2_3 = from_descriptor(parse_group_spec("Z2xZ2xZ2"))
+    assert _generating_set(z2_3.table, z2_3.orders) == [1, 2, 4]
+    table = with_row(z2_3.table, 6, (6, 7, 3, 5, 2, 4, 0, 1))
+    table = with_row(table, 7, (7, 6, 5, 3, 4, 2, 1, 0))
+    assert all(table[table[x][1]][y] == table[x][table[1][y]] for x in range(8) for y in range(8))
+    with pytest.raises(InternalError, match=re.escape("associativity fails at (1, 6, 2)") + "$"):
+        broken(z2_3, table=table)
+
+
+@pytest.mark.parametrize("column", [1, 3])  # the generator's column, and another
+@pytest.mark.parametrize("entry", [6, -1, 4, None])  # out of range, negative, repeated, no int
+def test_a_bad_entry_in_a_non_generator_row_is_refused(entry, column):
+    z6 = make_cyclic(6)
+    assert _generating_set(z6.table, z6.orders) == [1]
+    row = list(z6.table[2])  # (2, 3, 4, 5, 0, 1): columns 0 and 4 hold the laws
+    row[column] = entry
+    table = with_row(z6.table, 2, row)
+    with pytest.raises(InternalError):
+        broken(z6, table=table)
+    with pytest.raises(InternalError):
+        _finalize(table, z6.descriptor)
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("Z2", 1), ("Z12", 1), ("Z729", 1), ("Z1024", 1),
+    ("D6", 2), ("D1024", 2), ("Q8", 2), ("Q1024", 2), ("perm:(1 2 3 4 5 6);(1 2)", 2),
+    ("x".join(["Z2"] * 9), 9),
+])
+def test_greedy_generating_set_sizes(spec, count):
+    group = group_from_text(spec)
+    assert len(_generating_set(group.table, group.orders)) == count
+
+
+# the specs of the benchmark's pinned-large workload
+PINNED_LARGE = ("D512", "D1024", "Q512", "Q1024", "Z729", "x".join(["Z2"] * 9),
+                "x".join(["Z3"] * 5), "perm:(1 2 3 4 5 6);(1 2)")
+
+
+def test_greedy_generating_set_needs_at_most_log2_n_generators():
+    groups_checked = builtin_corpus(48) + [(spec, group_from_text(spec)) for spec in PINNED_LARGE]
+    for spec, group in groups_checked:
+        assert len(_generating_set(group.table, group.orders)) <= group.order.bit_length() - 1, spec
+
+
+def test_a_table_that_needs_too_many_generators_is_refused():
+    # The laws of an order-4 group with three involutions hold, but 1 and 2
+    # reach only {0, 1, 2}: a third generator would be needed, and every group
+    # of order 4 is generated by two of its elements.
+    klein = from_descriptor(parse_group_spec("Z2xZ2"))
+    assert klein.orders == (1, 2, 2, 2) and klein.inverses == (0, 1, 2, 3)
+    table = ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (3, 2, 1, 0))
+    with pytest.raises(InternalError, match="^Cayley table needs more than 2 generators, "
+                                            "which no group of order 4 does$"):
+        broken(klein, table=table)
 
 
 def test_one_element_table_passes_validation():

@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+from dataclasses import replace
 from functools import reduce
 from unittest import mock
 
@@ -16,6 +17,7 @@ from oracles import (
     brute_path_cover_count,
     check_l21,
     composed_permutation_table,
+    is_group_table,
     pair_product_table,
     power_walk,
     reference_row_check,
@@ -44,6 +46,7 @@ from lambda_power.cli import builtin_corpus
 from lambda_power.groups import (
     GroupDescriptor,
     _orders_and_inverses,
+    _validate_table,
     from_descriptor,
     from_permutations,
 )
@@ -181,6 +184,44 @@ def test_orders_and_inverses_match_a_power_walk(group):
 @given(permutation_groups())
 def test_permutation_table_matches_composition(group):
     assert group.table == composed_permutation_table(group.descriptor.params)
+
+
+@st.composite
+def mutated_group_tables(draw):
+    """A permutation group or a corpus group of order at most 16, relabelled by
+    a permutation fixing the identity, then with up to two rows changed: two
+    entries swapped, or one entry overwritten by an index, -1, n or None."""
+    group = draw(st.one_of(permutation_groups(), st.deferred(
+        lambda: st.sampled_from([g for _, g in builtin_corpus(16)]))))
+    n = group.order
+    relabel = [0] + draw(st.permutations(range(1, n)))
+    table = [[0] * n for _ in range(n)]
+    inverses, orders = [0] * n, [0] * n
+    for a in range(n):
+        inverses[relabel[a]] = relabel[group.inverses[a]]
+        orders[relabel[a]] = group.orders[a]
+        for b in range(n):
+            table[relabel[a]][relabel[b]] = relabel[group.table[a][b]]
+    indices = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        row = table[draw(indices)]
+        if draw(st.booleans()):
+            j, k = draw(indices), draw(indices)
+            row[j], row[k] = row[k], row[j]
+        else:
+            row[draw(indices)] = draw(st.one_of(indices, st.sampled_from([-1, n, None])))
+    return replace(group, table=tuple(map(tuple, table)), inverses=tuple(inverses),
+                   orders=tuple(orders))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_group_tables())
+def test_validation_accepts_exactly_the_group_tables(group):
+    if is_group_table(group.table, group.inverses):
+        _validate_table(group)
+    else:
+        with pytest.raises(InternalError):
+            _validate_table(group)
 
 
 PRODUCT_ATOMS = ([GroupDescriptor.atom("cyclic", n) for n in range(1, 13)]
