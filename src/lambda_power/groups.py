@@ -4,22 +4,20 @@ Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
 Constructors validate every table they hand out, by one check at every
 order: the identity, inverse and Lagrange laws element by element, then
-Light's associativity test on a generating set read off the table. The
-generators are picked greedily, largest element order first, until the
-identity's closure under right multiplication by them reaches every element;
-no group of order n needs more than log2 n of them. For each generator a,
-row xa must equal row x read through row a, for every x. That proves
-associativity, and with the generator rows checked to be permutations it
-proves every row is one. The check costs n^2 lookups per generator, so it
-grows with the number of generators: on one machine (x86-64, Python 3.11)
-Z2^13, with 13, takes 18–20 s to build, where a permutation check of
-every row plus 10,000 sampled triples took about 6 s. Tables are built a
-row or a column at a time from slices and maps, so their rows share int
-objects. A product, at any nesting, builds its atoms and then its one table
-from their rows, once its order has passed the limit; no partial product is
-built or validated. A group builds once, on first use, one walk per
-distinct cyclic subgroup, and from those walks its maximal cyclic
-subgroups and its power graph.
+associativity from a closure tree read off the table. The generators are
+picked greedily, largest element order first, until the identity's closure
+under right multiplication by them reaches every element; no group of order
+n needs more than log2 n of them. Each element but e is first reached as
+xa, so its row must be row x read through row a, and each generator's left
+multiplication must commute with each generator's right multiplication.
+Together these prove every row a permutation and the table associative, in
+n^2 lookups plus n per pair of generators, whatever the number of
+generators. Tables are built a row or a column at a time from slices and
+maps, so their rows share int objects. A product, at any nesting, builds its
+atoms and then its one table from their rows, once its order has passed the
+limit; no partial product is built or validated. A group builds once, on
+first use, one walk per distinct cyclic subgroup, and from those walks its
+maximal cyclic subgroups and its power graph.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
 from math import gcd, prod
-from operator import eq, itemgetter, ne
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
@@ -196,9 +194,27 @@ def _orders_and_inverses(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
 
 
 def _validate_table(group: FiniteGroup) -> None:
-    """The group laws element by element, then Light's associativity test on
-    a generating set read off the table: (xa)y = x(ay) for every generator a
-    and all x, y proves (xb)y = x(by) for every b the generators reach."""
+    """The group laws element by element, then associativity from the closure
+    tree that reads off a generating set A: every element y but e was first
+    reached as y = xa with x reached before it and a in A.
+
+    Two checks, about n^2 + |A|^2 n lookups in all:
+
+    - tree rows: row xa is row x read through row a, for every tree edge;
+    - commutation: row a read through column b is column b read through row
+      a, that is a(zb) = (az)b, for all generators a, b and every z.
+
+    Why they suffice. The generator rows are permutations and row e is the
+    identity, so by induction along the tree every row is a permutation of
+    range(n), a composition of generator rows; no negative or out-of-range
+    entry survives. Each left multiplication then commutes with each right
+    multiplication by a generator b: (xz)b = x(zb) for all x, z. The set of c
+    with (xz)c = x(zc) for all x, z holds e and every generator, and is closed
+    under products: (xz)(cb) = ((xz)c)b = (x(zc))b = x((zc)b) = x(z(cb)).
+    Every element is a left-nested product of generators, so the table is
+    associative, and with the identity and inverse laws it is a group. Every
+    group table passes both checks.
+    """
     n = group.order
     table = group.table
     for x in range(n):
@@ -211,11 +227,13 @@ def _validate_table(group: FiniteGroup) -> None:
     if group.orders[0] != 1:
         raise InternalError("identity must have order 1")
     try:
-        for a in _generating_set(table, group.orders):
-            # Row xa must be row x read through row a, compared a row at a time.
-            products = map(table.__getitem__, map(itemgetter(a), table))
-            if not all(map(eq, products, map(itemgetter(*table[a]), table))):
-                raise InternalError(f"associativity fails at {_first_non_associative(table)}")
+        columns, edges = _closure_tree(table, group.orders)
+        through_row = {a: itemgetter(*table[a]) for a in columns}
+        through_column = {b: itemgetter(*column) for b, column in columns.items()}
+        if not (all(table[y] == through_row[a](table[x]) for x, a, y in edges)
+                and all(through_column[b](table[a]) == through_row[a](columns[b])
+                        for a in columns for b in columns)):
+            raise InternalError(f"associativity fails at {_first_non_associative(table)}")
     except (IndexError, TypeError) as exc:
         raise _bad_entry(exc) from exc
 
@@ -225,40 +243,48 @@ def _bad_entry(exc: Exception) -> InternalError:
 
 
 def _generating_set(table: Sequence[Sequence[int]], orders: Sequence[int]) -> list[int]:
+    """The generators of the closure tree that `_validate_table` checks."""
+    return list(_closure_tree(table, orders)[0])
+
+
+def _closure_tree(table: Sequence[Sequence[int]], orders: Sequence[int],
+                  ) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]]:
     """Generators picked greedily until the identity's closure under right
     multiplication by them reaches every element: each is the unreached
     element of largest order, the smallest index on ties.
 
-    Each generator row is checked to be a permutation; every other row is then
-    one too once Light's test passes, since row xa is row x read through row a.
-    In a group each new generator at least doubles the closure, so a table that
-    needs more than log2 n generators is refused.
+    Returns each generator's column, in the order picked, and the tree edges
+    (x, a, xa), one for every element but e, each x reached before xa. Each
+    generator row is checked to be a permutation. In a group each new
+    generator at least doubles the closure, so a table that needs more than
+    log2 n generators is refused.
     """
     n = len(table)
     everyone = frozenset(range(n))
     reached = bytearray(n)
     reached[0] = 1
     members = [0]
-    generators: list[int] = []
-    columns: list[tuple[int, ...]] = []
+    columns: dict[int, tuple[int, ...]] = {}
+    edges: list[tuple[int, int, int]] = []
     for a in sorted(range(n), key=orders.__getitem__, reverse=True):  # stable on ties
         if reached[a]:
             continue
-        if len(generators) == n.bit_length() - 1:
-            raise InternalError(f"Cayley table needs more than {len(generators)} generators, "
+        if len(columns) == n.bit_length() - 1:
+            raise InternalError(f"Cayley table needs more than {len(columns)} generators, "
                                 f"which no group of order {n} does")
         if frozenset(table[a]) != everyone:
             raise InternalError(f"row {a} of the Cayley table is not a permutation")
-        generators.append(a)
-        columns.append(tuple(map(itemgetter(a), table)))
+        columns[a] = tuple(map(itemgetter(a), table))
+        newest = [(a, columns[a])]
         closed = len(members)  # the closure so far needs only the new column
         for i, x in enumerate(members):  # grows while it is walked
-            for column in columns[-1:] if i < closed else columns:
+            for b, column in newest if i < closed else columns.items():
                 y = column[x]
                 if not reached[y]:
                     reached[y] = 1
                     members.append(y)
-    return generators
+                    edges.append((x, b, y))
+    return columns, edges
 
 
 def _first_non_associative(table: Sequence[Sequence[int]]) -> tuple[int, int, int]:

@@ -25,8 +25,10 @@ from lambda_power import groups
 from lambda_power.cli import builtin_corpus, group_from_text, parse_group_spec
 from lambda_power.groups import (
     GroupDescriptor,
+    _closure_tree,
     _finalize,
     _generating_set,
+    _orders_and_inverses,
     _validate_table,
     from_descriptor,
 )
@@ -409,6 +411,44 @@ def test_light_test_runs_on_every_generator():
     assert all(table[table[x][1]][y] == table[x][table[1][y]] for x in range(8) for y in range(8))
     with pytest.raises(InternalError, match=re.escape("associativity fails at (1, 6, 2)") + "$"):
         broken(z2_3, table=table)
+
+
+def test_only_generator_commutation_refuses_this_table():
+    # An order-6 table with the identity, inverse and Lagrange laws whose every
+    # row off the generators 1 and 4 is its tree parent's row read through a
+    # generator row; but 1(2 * 4) != (1 * 2)4, so commutation refuses it.
+    table = ((0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 3, 5), (2, 0, 1, 3, 4, 5),
+             (3, 2, 4, 0, 5, 1), (4, 1, 3, 2, 5, 0), (5, 1, 2, 3, 0, 4))
+    orders, inverses = _orders_and_inverses(table)
+    columns, edges = _closure_tree(table, orders)
+    assert list(columns) == [1, 4]
+    assert all(table[y] == tuple(table[x][z] for z in table[a]) for x, a, y in edges)
+    z6 = make_cyclic(6)
+    with pytest.raises(InternalError, match=re.escape("associativity fails at (1, 2, 3)") + "$"):
+        broken(z6, table=table, orders=orders, inverses=inverses)
+
+
+class CountingTable(tuple):
+    """A Cayley table that counts the rows read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+@pytest.mark.parametrize("spec", ["x".join(["Z2"] * 9), "D1024"])
+def test_validation_reads_a_bounded_number_of_rows_per_element(spec):
+    # Three rows per element for the identity, inverse and Lagrange laws, two
+    # per closure-tree edge (one edge per element), and a few per generator
+    # and generator pair. Light's test read n more rows for each of the k
+    # generators: 12n for Z2^9, where 5n + k^2 + 2k stays under 6n.
+    group = group_from_text(spec)
+    n, k = group.order, len(_generating_set(group.table, group.orders))
+    table = CountingTable(group.table)
+    _validate_table(replace(group, table=table))
+    assert table.reads <= 5 * n + k * k + 2 * k < 6 * n
 
 
 @pytest.mark.parametrize("column", [1, 3])  # the generator's column, and another

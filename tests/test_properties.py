@@ -187,10 +187,10 @@ def test_permutation_table_matches_composition(group):
 
 
 @st.composite
-def mutated_group_tables(draw):
+def relabelled_group_tables(draw):
     """A permutation group or a corpus group of order at most 16, relabelled by
-    a permutation fixing the identity, then with up to two rows changed: two
-    entries swapped, or one entry overwritten by an index, -1, n or None."""
+    a permutation fixing the identity: the group, its table as lists of rows,
+    its inverses and its orders."""
     group = draw(st.one_of(permutation_groups(), st.deferred(
         lambda: st.sampled_from([g for _, g in builtin_corpus(16)]))))
     n = group.order
@@ -202,6 +202,15 @@ def mutated_group_tables(draw):
         orders[relabel[a]] = group.orders[a]
         for b in range(n):
             table[relabel[a]][relabel[b]] = relabel[group.table[a][b]]
+    return group, table, inverses, orders
+
+
+@st.composite
+def mutated_group_tables(draw):
+    """A relabelled group with up to two rows changed: two entries swapped, or
+    one entry overwritten by an index, -1, n or None."""
+    group, table, inverses, orders = draw(relabelled_group_tables())
+    n = group.order
     indices = st.integers(min_value=0, max_value=n - 1)
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         row = table[draw(indices)]
@@ -217,6 +226,35 @@ def mutated_group_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(mutated_group_tables())
 def test_validation_accepts_exactly_the_group_tables(group):
+    if is_group_table(group.table, group.inverses):
+        _validate_table(group)
+    else:
+        with pytest.raises(InternalError):
+            _validate_table(group)
+
+
+@st.composite
+def paired_swap_tables(draw):
+    """A relabelled group with one or two paired-row swaps: entries j and k
+    swapped in row x and in a second row at once. The second row is most often
+    the one whose entry j is row x's entry k, so column j stays a permutation,
+    and column k does too when the four entries form a 2x2 Latin subsquare:
+    near-Latin squares that single mutations rarely reach."""
+    group, table, inverses, orders = draw(relabelled_group_tables())
+    n = group.order
+    indices = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        x, j, k = draw(indices), draw(indices), draw(indices)
+        partner = next((r for r in range(n) if table[r][j] == table[x][k]), x)
+        for r in {x, draw(st.one_of(st.just(partner), indices))}:
+            table[r][j], table[r][k] = table[r][k], table[r][j]
+    return replace(group, table=tuple(map(tuple, table)), inverses=tuple(inverses),
+                   orders=tuple(orders))
+
+
+@settings(max_examples=200, deadline=None)
+@given(paired_swap_tables())
+def test_validation_accepts_exactly_the_group_tables_after_paired_row_swaps(group):
     if is_group_table(group.table, group.inverses):
         _validate_table(group)
     else:
