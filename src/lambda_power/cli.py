@@ -30,13 +30,7 @@ from .groups import (
     make_generalized_quaternion,
     permutation_from_cycles,
 )
-from .invariants import (
-    clique_number,
-    cut_vertex_component_profile,
-    find_complement_p4,
-    independence_number,
-    path_cover_number,
-)
+from .invariants import cut_vertex_component_profile, find_complement_p4, path_cover_number
 from .labeling import LambdaReport, bound_ledger, lambda_exact
 from .oracle import (
     check_lower_equality,
@@ -453,14 +447,8 @@ def cmd_invariants(args) -> int:
         return 1
     graph = build_power_graph(group)
     payload: dict[str, object] = {"group": group.descriptor.name, "order": group.order}
-    try:
-        payload["clique_number"] = clique_number(graph).value
-    except CapacityExceeded:
-        payload["clique_number"] = None
-    try:
-        payload["independence_number"] = independence_number(graph).value
-    except CapacityExceeded:
-        payload["independence_number"] = None
+    payload["clique_number"] = group.power_graph_clique.value
+    payload["independence_number"] = group.power_graph_independent_set.value
     try:
         payload["complement_path_cover"] = path_cover_number(graph.complement).count
     except CapacityExceeded:
@@ -513,8 +501,7 @@ def cmd_enumerate(args) -> int:
     rows = []
     failures = 0
     for spec, group in builtin_corpus(args.max_order):
-        graph = build_power_graph(group)
-        alpha = independence_number(graph).value
+        alpha = group.power_graph_independent_set.value
         report = lambda_exact(group, with_witness=False)
         lam = report.value if report.exact else None
         alpha2_ok = classify_alpha2(group) == (alpha == 2)

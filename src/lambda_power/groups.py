@@ -17,7 +17,9 @@ maps, so their rows share int objects. A product, at any nesting, builds its
 atoms and then its one table from their rows, once its order has passed the
 limit; no partial product is built or validated. A group builds once, on
 first use, one walk per distinct cyclic subgroup, and from those walks its
-maximal cyclic subgroups and its power graph.
+maximal cyclic subgroups, its power graph and the poset of its cyclic
+subgroups, whose heaviest chain and widest antichain are the power graph's
+clique and independence numbers.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from functools import cached_property
 from itertools import chain, compress, count
 from math import gcd, prod
 from operator import itemgetter, ne
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
+from .invariants import WitnessedValue, _checked_witness, _heaviest_chain, _widest_antichain
 from .powergraph import Graph, bits
 
 DEFAULT_MAX_ORDER = 10000
@@ -89,6 +92,21 @@ class GroupDescriptor:
 _ATOM_PREFIX = {"cyclic": "Z", "dihedral": "D", "quaternion": "Q"}
 
 
+class _CyclicSubgroups(NamedTuple):
+    """The distinct cyclic subgroups of a group, numbered in walk order.
+
+    Element masks have bit x for element x; ``inside`` rows have bit j for
+    subgroup j. Containment is transitive, so each ``inside`` row, read as
+    the subgroups below, is a transitively closed strict order.
+    """
+
+    number: list[int]  # per element x: the number of <x>
+    masks: list[int]  # per subgroup: its elements
+    generators: list[int]  # per subgroup: its generators
+    above: list[int]  # per subgroup: the generators of every cyclic subgroup containing it
+    inside: list[int]  # per subgroup: the subgroups strictly inside it
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """Immutable Cayley-table group.
@@ -108,10 +126,9 @@ class FiniteGroup:
         return self.table[a][b]
 
     @cached_property
-    def _cyclic_subgroups(self) -> tuple[list[int], list[int], list[int]]:
-        """Each distinct <x> walked once: the number of <x> for every x, each
-        subgroup's mask, and the generators of every cyclic subgroup containing
-        it (<g> of order o contains exactly the <g^d> with d | o)."""
+    def _cyclic_subgroups(self) -> _CyclicSubgroups:
+        """Each distinct <x> walked once; <g> of order o contains exactly the
+        <g^d> with d | o, read off the walk at the divisor positions."""
         table = self.table
         number = [-1] * self.order
         walks, masks, generators = [], [], []
@@ -131,17 +148,21 @@ class FiniteGroup:
             masks.append(sum(1 << y for y in powers))
             walks.append(powers)
         above = [0] * len(walks)
-        for powers, mask in zip(walks, generators):
+        inside = [0] * len(walks)
+        for i, (powers, mask) in enumerate(zip(walks, generators)):
             for d in range(1, len(powers) + 1):
                 if len(powers) % d == 0:
-                    above[number[powers[d - 1]]] |= mask
-        return number, masks, above
+                    j = number[powers[d - 1]]
+                    above[j] |= mask
+                    inside[i] |= 1 << j
+            inside[i] ^= 1 << i  # d = 1 is <g> itself
+        return _CyclicSubgroups(number, masks, generators, above, inside)
 
     @cached_property
     def _power_graph(self) -> Graph:
         """x != y adjacent iff one is a power of the other; built once. Row x
         is <x> plus the generators of every cyclic subgroup containing <x>, less x."""
-        number, masks, above = self._cyclic_subgroups
+        number, masks, _, above, _ = self._cyclic_subgroups
         rows = tuple((masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(number))
         graph = Graph(rows)
         if self.order >= 2 and rows[0] != graph.full_mask ^ 1:
@@ -149,10 +170,35 @@ class FiniteGroup:
         return graph
 
     @cached_property
+    def power_graph_clique(self) -> WitnessedValue:
+        """A maximum clique of the power graph; computed once. Elements are
+        adjacent iff their cyclic subgroups are nested, and the generators of
+        one subgroup are pairwise adjacent, so a maximum clique is every
+        generator of a chain of cyclic subgroups whose generator counts have
+        the greatest sum. Its witness is checked against the graph's rows."""
+        sub = self._cyclic_subgroups
+        value, chain = _heaviest_chain(list(map(int.bit_count, sub.generators)), sub.inside)
+        return _checked_witness(self._power_graph.adj, value,
+                                sum(map(sub.generators.__getitem__, chain)), "clique")
+
+    @cached_property
+    def power_graph_independent_set(self) -> WitnessedValue:
+        """A maximum independent set of the power graph; computed once. It
+        holds at most one generator per cyclic subgroup, of subgroups pairwise
+        not nested, so it is one generator of each subgroup of a widest
+        antichain. Its witness is checked against the graph's rows."""
+        sub = self._cyclic_subgroups
+        value, antichain = _widest_antichain(sub.inside)
+        witness = 0
+        for i in antichain:
+            witness |= sub.generators[i] & -sub.generators[i]
+        return _checked_witness(self._power_graph.adj, value, witness, "independent-set")
+
+    @cached_property
     def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
         """All cyclic subgroups maximal under inclusion, largest first; built once.
         They cover the group, so they meet only in e iff sum(size - 1) = n - 1."""
-        _, masks, above = self._cyclic_subgroups  # maximal: nothing above lies outside
+        _, masks, _, above, _ = self._cyclic_subgroups  # maximal: nothing above lies outside
         maximal = [frozenset(bits(m)) for m, a in zip(masks, above) if not a & ~m]
         maximal.sort(key=lambda s: (-len(s), sorted(s)))
         sizes = tuple(len(s) for s in maximal)
@@ -480,7 +526,6 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
     identity = tuple(range(domain))
     elements = [identity]
     index = {identity: 0}
-    right: list[list[int]] = [[] for _ in gens]  # right[k][x]: element x times gens[k]
     found_by = []  # (parent, k) of element 1, 2, ...: element = parent * gens[k]
     for pos, current in enumerate(elements):  # grows while it is walked
         for k, gen in enumerate(gens):
@@ -493,13 +538,17 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
                 index[composed] = len(elements)
                 elements.append(composed)
                 found_by.append((pos, k))
-            right[k].append(index[composed])
 
-    # a * (p * g) = (a * p) * g: column j is column parent(j) times its generator.
-    columns = [tuple(range(len(elements)))]
+    # (p * g) * z = p * (g * z): row j is row parent(j) read through the row
+    # of its generator, g's left multiplication.
+    through = []
+    for gen in gens:
+        left = [index[tuple(map(gen.__getitem__, z))] for z in elements]
+        through.append(itemgetter(*left))
+    rows = [tuple(range(len(elements)))]
     for parent, k in found_by:
-        columns.append(tuple(map(right[k].__getitem__, columns[parent])))
-    return _finalize(tuple(zip(*columns)), descriptor)
+        rows.append(through[k](rows[parent]))
+    return _finalize(tuple(rows), descriptor)
 
 
 def from_descriptor(descriptor: GroupDescriptor) -> FiniteGroup:
@@ -535,7 +584,7 @@ def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
     """The element set of <x>; its size equals the order of x."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} out of range for order-{g.order} group")
-    number, masks, _ = g._cyclic_subgroups
+    number, masks, *_ = g._cyclic_subgroups
     return frozenset(bits(masks[number[x]]))
 
 
@@ -556,5 +605,5 @@ def is_prime(m: int) -> bool:
 
 
 def is_P_group(g: FiniteGroup) -> bool:
-    """True iff every non-identity element has prime order."""
-    return all(is_prime(o) for o in g.orders[1:])
+    """True iff every non-identity element has prime order; each distinct order is tested once."""
+    return all(map(is_prime, set(g.orders[1:])))

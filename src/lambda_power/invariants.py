@@ -11,6 +11,9 @@ search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the path-cover DP above
 ``2**DEFAULT_DP_LIMIT`` states.
 A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
+A power graph's clique and independence numbers need no search: its group
+reads them off a chain and an antichain of its cyclic subgroups, with the
+poset routines and the witness check here.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, _masked_components, bits, connected_components
@@ -112,6 +115,58 @@ def independence_number(graph: Graph) -> WitnessedValue:
     """Maximum independent set, computed as a clique of the complement."""
     found = clique_number(graph.complement)
     return WitnessedValue(found.value, found.witness, "independent-set")
+
+
+def _checked_witness(adj: Sequence[int], value: int, witness: int,
+                     kind: str) -> WitnessedValue:
+    """``value`` with its witness mask, once the witness is checked on the
+    graph's rows to be a clique (kind "clique") or an independent set of
+    exactly ``value`` vertices: a wrong value cannot pass as a bound."""
+    members = list(bits(witness))
+    clique = kind == "clique"
+    for v in members:  # a clique member sees the rest, an independent one none
+        if adj[v] & witness != (witness ^ 1 << v if clique else 0):
+            break
+    else:
+        if len(members) == value:
+            return WitnessedValue(value, tuple(members), kind)
+    raise InternalError(f"{kind} witness of {len(members)} vertices fails "
+                        f"the graph's rows for the value {value}")
+
+
+def _heaviest_chain(weights: Sequence[int], below: Sequence[int]) -> tuple[int, list[int]]:
+    """A chain of greatest total weight in the strict order whose row
+    ``below[i]`` has bit j iff j < i, transitively closed: the weight and the
+    chain, top first. An element has fewer elements below it than anything
+    above it, so ascending row size is a linear extension for the DP.
+    """
+    best, step = [0] * len(below), [-1] * len(below)
+    for i in sorted(range(len(below)), key=list(map(int.bit_count, below)).__getitem__):
+        for j in bits(below[i]):
+            if best[j] > best[i]:
+                best[i], step[i] = best[j], j
+        best[i] += weights[i]
+    top = max(range(len(below)), key=best.__getitem__)
+    chain = [top]
+    while step[chain[-1]] >= 0:
+        chain.append(step[chain[-1]])
+    return best[top], chain
+
+
+def _widest_antichain(below: Sequence[int]) -> tuple[int, list[int]]:
+    """A largest antichain of the strict order of ``_heaviest_chain``: its
+    size and its elements, ascending.
+
+    Matching i to some j < i, on the bipartite graph of the order, chains
+    the elements into q - nu chains, and an antichain meets each chain once,
+    so the width is at most q - nu (Dilworth, Fulkerson). Koenig's cover of
+    a maximum matching misses both copies of exactly q - nu elements, and
+    those are an antichain: i in X on the left puts every j < i in S.
+    """
+    mask = (1 << len(below)) - 1
+    matching = _double_cover_matching(below, mask)
+    x_set, s_set = _koenig_sets(below, mask, matching)
+    return matching[0].count(-1), list(bits(x_set & ~s_set))
 
 
 def _twin_classes(adj: tuple[int, ...],
@@ -212,11 +267,12 @@ def _quotient_cover(adj: tuple[int, ...], vertices: list[int],
     return paths
 
 
-def _double_cover_matching(adj: tuple[int, ...], mask: int) -> tuple[list[int], list[int]]:
+def _double_cover_matching(adj: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
     """A maximum matching of the bipartite double cover of the subgraph on
     ``mask``: ``succ[v] = u`` pairs left v with right u, read as the arc
     v -> u, and ``pred`` is its inverse; -1 where unmatched. Every vertex has
-    at most one arc out and one in, so the arcs form paths and cycles.
+    at most one arc out and one in, so the arcs form paths and cycles. Left v
+    sees the right vertices ``adj[v]``, so the rows need not be symmetric.
     """
     succ, pred = [-1] * len(adj), [-1] * len(adj)
     free_right = mask
@@ -232,6 +288,8 @@ def _double_cover_matching(adj: tuple[int, ...], mask: int) -> tuple[list[int], 
     # they stay dead.
     dead = 0
     for v in [v for v in bits(mask) if succ[v] < 0]:
+        if not adj[v] & mask & ~dead:
+            continue  # fails at once, leaving the dead set as it is
         parent: dict[int, int] = {}
         seen, frontier, end = dead, [v], -1
         while frontier and end < 0:
@@ -259,23 +317,16 @@ def _double_cover_matching(adj: tuple[int, ...], mask: int) -> tuple[list[int], 
     return succ, pred
 
 
-def _cover_lower_bound(adj: tuple[int, ...], mask: int,
-                       matching: tuple[list[int], list[int]] | None = None) -> tuple[int, int]:
-    """A lower bound on the minimum path cover of the subgraph on ``mask``,
-    and the vertex set S (a mask) that certifies it. ``matching`` is the
-    subgraph's ``_double_cover_matching``, computed here when not given.
-
-    Orient each of a cover's r paths: its arcs are a matching of
-    |mask| - r edges of the bipartite double cover, so r >= |mask| - nu.
-    S = N(X), for X Koenig's set: the left vertices that alternating paths
-    reach from unmatched left vertices. Deleting S cuts r paths into at most
-    r + |S| pieces, each inside one component of the rest, so
-    r >= c(G[mask] - S) - |S|; and every component needs a path of its own.
+def _koenig_sets(adj: Sequence[int], mask: int,
+                 matching: tuple[list[int], list[int]]) -> tuple[int, int]:
+    """Koenig's set X of a maximum matching of the bipartite graph whose left
+    vertex v sees the right vertices ``adj[v]``, both sides on ``mask``: the
+    left vertices that alternating paths reach from unmatched left vertices.
+    Returns X and S = N(X), as masks; (mask - X) on the left with S on the
+    right is a minimum vertex cover.
     """
-    succ, pred = matching or _double_cover_matching(adj, mask)
-    # Koenig's set X, grown from every unmatched left vertex at once; S = N(X).
+    succ, pred = matching
     x_set = frontier = sum(1 << v for v in bits(mask) if succ[v] < 0)
-    unmatched = x_set.bit_count()
     s_set = 0
     while frontier:
         reach = 0
@@ -285,6 +336,24 @@ def _cover_lower_bound(adj: tuple[int, ...], mask: int,
         s_set |= new
         frontier = sum(1 << pred[u] for u in bits(new)) & ~x_set
         x_set |= frontier
+    return x_set, s_set
+
+
+def _cover_lower_bound(adj: tuple[int, ...], mask: int,
+                       matching: tuple[list[int], list[int]] | None = None) -> tuple[int, int]:
+    """A lower bound on the minimum path cover of the subgraph on ``mask``,
+    and the vertex set S (a mask) that certifies it. ``matching`` is the
+    subgraph's ``_double_cover_matching``, computed here when not given.
+
+    Orient each of a cover's r paths: its arcs are a matching of
+    |mask| - r edges of the bipartite double cover, so r >= |mask| - nu.
+    S = N(X), for X Koenig's set. Deleting S cuts r paths into at most
+    r + |S| pieces, each inside one component of the rest, so
+    r >= c(G[mask] - S) - |S|; and every component needs a path of its own.
+    """
+    matching = matching or _double_cover_matching(adj, mask)
+    x_set, s_set = _koenig_sets(adj, mask, matching)
+    unmatched = mask.bit_count() - (len(adj) - matching[0].count(-1))  # all matched lie in mask
     lb = max(len(_masked_components(adj, mask)),
              unmatched,
              len(_masked_components(adj, mask & ~s_set)) - s_set.bit_count())

@@ -31,7 +31,6 @@ from .invariants import (
     clique_number,
     cut_vertex_component_profile,
     find_complement_p4,
-    independence_number,
     path_cover_number,
 )
 from .oracle import (
@@ -171,41 +170,20 @@ def _degree_order(graph: Graph) -> list[int]:
     return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
 
 
-def _greedy_clique(graph: Graph) -> tuple[int, ...]:
-    chosen: list[int] = []
-    mask = 0
-    for v in _degree_order(graph):
-        if graph.adj[v] & mask == mask:
-            chosen.append(v)
-            mask |= 1 << v
-    return tuple(sorted(chosen))
-
-
 def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
     """Every applicable lower and upper bound on the span, tagged by source.
 
-    Capacity failures in the clique searches degrade those entries to greedy
-    witnesses, flagged inexact but still sound as bounds.
+    The clique and independence numbers come from the group's poset of
+    cyclic subgroups, each with a witness checked on the power graph, so
+    both entries are exact at every order.
     """
     graph = build_power_graph(g)
     n = g.order
-    entries: list[Bound] = []
-    try:
-        omega = clique_number(graph)
-        entries.append(Bound("lower", 2 * omega.value - 2, "clique"))
-    except CapacityExceeded:
-        witness = _greedy_clique(graph)
-        entries.append(Bound("lower", 2 * len(witness) - 2, "clique", exact=False,
-                             note="greedy clique witness only"))
+    entries = [Bound("lower", 2 * g.power_graph_clique.value - 2, "clique")]
     if n >= 2:
         entries.append(Bound("lower", n, "order"))
-    try:
-        alpha = independence_number(graph)
-        entries.append(Bound("upper", 2 * n - alpha.value - 1, "independence"))
-    except CapacityExceeded:
-        witness = _greedy_clique(graph.complement)
-        entries.append(Bound("upper", 2 * n - len(witness) - 1, "independence",
-                             exact=False, note="greedy independent set only"))
+    entries.append(Bound("upper", 2 * n - g.power_graph_independent_set.value - 1,
+                         "independence"))
     if not is_cyclic_prime_power(g):
         entries.append(Bound("upper", 2 * n - 4, "not-complete"))
     if find_complement_p4(graph) is not None:

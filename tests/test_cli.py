@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambda_power import __version__, invariants
+from lambda_power import __version__, groups, invariants
 from lambda_power.cli import (
     build_group,
     builtin_corpus,
@@ -359,22 +359,33 @@ def test_cmd_enumerate(capsys):
     assert all(row[4] in ("ok", "n/a") for row in rows.values())
 
 
-def test_enumerate_runs_one_clique_search_per_graph(capsys, monkeypatch):
-    # The alpha column, the bound ledger and the lower-equality check all
-    # ask about the same power graph and complement; each is searched once.
-    searched = []
-    search = invariants._clique_search
+def test_enumerate_runs_no_clique_search(capsys, monkeypatch):
+    # The alpha column and the bound ledger read one poset of cyclic
+    # subgroups per group; no graph is searched for a clique.
+    searched, posets = [], []
+    antichain = groups._widest_antichain
 
-    def counting(graph):
-        searched.append(graph)
-        return search(graph)
+    def counting(below):
+        posets.append(below)
+        return antichain(below)
 
-    monkeypatch.setattr(invariants, "_clique_search", counting)
+    monkeypatch.setattr(invariants, "_clique_search", searched.append)
+    monkeypatch.setattr(groups, "_widest_antichain", counting)
     code, out, _ = run(capsys, "enumerate", "--max-order", "12")
     assert code == 0
     rows = out.splitlines()[1:]
-    assert len(searched) == 2 * len(rows)
-    assert len({id(graph) for graph in searched}) == len(searched)
+    assert searched == []
+    assert len(posets) == len(rows)
+    assert len({id(below) for below in posets}) == len(posets)
+
+
+def test_cmd_invariants_reads_the_poset_past_the_clique_limit(capsys):
+    code, out, _ = run(capsys, "invariants", "D1024", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["clique_number"] == 512
+    assert payload["independence_number"] == 513
+    assert all(bound["exact"] for bound in payload["bounds"])
 
 
 def test_cmd_enumerate_caps_order(capsys):

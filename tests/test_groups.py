@@ -256,6 +256,18 @@ def test_is_p_group():
     assert not is_P_group(make_cyclic(9))
 
 
+def test_is_p_group_tests_each_distinct_order_once(monkeypatch):
+    tested, is_prime = [], groups.is_prime
+
+    def counting(m):
+        tested.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(groups, "is_prime", counting)
+    assert is_P_group(from_permutations(A5_IMAGES))  # 59 elements of orders 2, 3 and 5
+    assert sorted(tested) == [2, 3, 5]
+
+
 def test_group_axioms_exhaustively():
     groups = [make_cyclic(8), make_dihedral(10), make_generalized_quaternion(12),
               direct_product(make_cyclic(3), make_cyclic(3)),

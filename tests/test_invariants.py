@@ -13,6 +13,7 @@ from lambda_power import cli, groups, invariants, labeling, oracle, powergraph
 from lambda_power import (
     CapacityExceeded,
     Graph,
+    InternalError,
     build_power_graph,
     clique_number,
     complement,
@@ -85,6 +86,59 @@ def test_independence_examples():
     assert found.value == 3
     assert set(found.witness) == {1, 2, 3}
     assert independence_number(pg(make_cyclic(9))).value == 1
+
+
+def poset_groups():
+    """Every corpus group to order 64, Z, D and Q to 128, A5 and S5."""
+    yield from (g for _, g in cli.builtin_corpus(64))
+    for n in range(65, 129):
+        yield make_cyclic(n)
+        if n % 2 == 0:
+            yield make_dihedral(n)
+        if n % 4 == 0:
+            yield make_generalized_quaternion(n)
+    yield cli.group_from_text("A5")
+    yield groups.from_permutations([(2, 3, 4, 5, 1), (2, 1)])
+
+
+def test_poset_clique_and_independence_match_the_graph_searches():
+    checked = 0
+    for group in poset_groups():
+        graph = pg(group)
+        clique, independent = group.power_graph_clique, group.power_graph_independent_set
+        assert clique.value == clique_number(graph).value, group.descriptor.name
+        assert independent.value == independence_number(graph).value, group.descriptor.name
+        assert_clique(graph, clique.witness)
+        assert_clique(complement(graph), independent.witness)
+        checked += 1
+    assert checked > 250
+
+
+def test_poset_clique_witness_refuses_a_wrong_weight(monkeypatch):
+    heaviest = groups._heaviest_chain
+
+    def heavier_identity(weights, below):
+        return heaviest([weights[0] + 1, *weights[1:]], below)
+
+    monkeypatch.setattr(groups, "_heaviest_chain", heavier_identity)
+    with pytest.raises(InternalError, match="clique witness of 9 vertices"):
+        make_cyclic(12).power_graph_clique
+
+
+def test_poset_independent_set_witness_refuses_a_lost_containment(monkeypatch):
+    widest = groups._widest_antichain
+    monkeypatch.setattr(groups, "_widest_antichain", lambda below: widest([0] * len(below)))
+    with pytest.raises(InternalError, match="independent-set witness"):
+        make_dihedral(10).power_graph_independent_set
+
+
+def test_heaviest_chain_and_widest_antichain_on_a_small_order():
+    # 0 < 1 < 3, 0 < 2 < 3, 0 < 4: the heaviest chain takes the heavier
+    # middle element; the widest antichain is {1, 2, 4}.
+    below = [0, 0b1, 0b1, 0b111, 0b1]
+    assert invariants._heaviest_chain([1, 2, 5, 1, 7], below) == (8, [4, 0])
+    assert invariants._heaviest_chain([1, 2, 5, 1, 1], below) == (7, [3, 2, 0])
+    assert invariants._widest_antichain(below) == (3, [1, 2, 4])
 
 
 def test_hamilton_on_punctured_dihedral_complement():

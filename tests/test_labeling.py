@@ -325,18 +325,36 @@ def test_bound_ledger_entries_are_bounds():
                 assert value <= bound.value
 
 
-@pytest.mark.parametrize("spec", ["D256", "Z3xZ3xZ3xZ3xZ3", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"])
-def test_bound_ledger_greedy_fallbacks_above_the_clique_limit(spec):
-    # above the clique limit both clique searches give way to greedy
-    # witnesses: weaker, flagged inexact, but still bounds
+def test_bound_ledger_runs_no_clique_search(monkeypatch):
+    # the general clique search on D12xQ8's complement runs for over a
+    # minute; the poset of cyclic subgroups gives alpha = 39 at once
+    def refuse(graph):
+        raise AssertionError("the bound ledger searched a graph for a clique")
+
+    monkeypatch.setattr(invariants, "_clique_search", refuse)
+    g = build_group(parse_group_spec("D12xQ8"))
+    entries = {b.source: b.value for b in bound_ledger(g)}
+    assert entries["clique"] == 2 * 9 - 2
+    assert entries["independence"] == 2 * 96 - 39 - 1
+
+
+@pytest.mark.parametrize("spec, omega, alpha", [
+    pytest.param("D256", 128, 129, id="D256"),
+    pytest.param("Z3xZ3xZ3xZ3xZ3", 3, 121, id="Z3xZ3xZ3xZ3xZ3"),
+    pytest.param("Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", 2, 255, id="Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"),
+])
+def test_bound_ledger_is_exact_above_the_clique_limit(spec, omega, alpha):
+    # the poset of cyclic subgroups gives both entries exactly at any order,
+    # past the limit of the general-graph clique search
     g = build_group(parse_group_spec(spec))
-    assert g.order > invariants.DEFAULT_CLIQUE_LIMIT
+    n = g.order
+    assert n > invariants.DEFAULT_CLIQUE_LIMIT
     bounds = bound_ledger(g)
-    greedy = {b.source: b for b in bounds if not b.exact}
-    assert greedy["clique"].kind == "lower"
-    assert greedy["clique"].note == "greedy clique witness only"
-    assert greedy["independence"].kind == "upper"
-    assert greedy["independence"].note == "greedy independent set only"
+    assert all(b.exact and b.note == "" for b in bounds)
+    entries = {b.source: b for b in bounds}
+    assert (entries["clique"].kind, entries["clique"].value) == ("lower", 2 * omega - 2)
+    assert (entries["independence"].kind, entries["independence"].value) == (
+        "upper", 2 * n - alpha - 1)
     value = predict_lambda(g).value
     assert all(b.value <= value for b in bounds if b.kind == "lower")
     assert all(value <= b.value for b in bounds if b.kind == "upper")

@@ -38,6 +38,7 @@ from lambda_power import (
     diameter_at_most_two,
     direct_product,
     hamilton_path,
+    independence_number,
     lambda_backtrack,
     path_cover_number,
     validate_l21,
@@ -292,6 +293,20 @@ def test_product_tables_match_the_pairwise_reference(atoms):
     pairwise = reduce(lambda h, g: direct_product(g, h), reversed(factors))  # g x (h x k)
     for group in (left_nested, right_nested, pairwise):
         assert (group.table, group.orders, group.inverses) == expected
+
+
+def product_of(atoms):
+    return from_descriptor(reduce(GroupDescriptor.product, atoms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(product_atoms(max_order=48).map(product_of), permutation_groups()))
+def test_poset_clique_and_independence_match_the_graph(group):
+    graph = build_power_graph(group)
+    omega, alpha = group.power_graph_clique.value, group.power_graph_independent_set.value
+    assert (omega, alpha) == (clique_number(graph).value, independence_number(graph).value)
+    if graph.n <= 12:
+        assert (omega, alpha) == (brute_max_clique(graph), brute_max_clique(complement(graph)))
 
 
 @settings(max_examples=120, deadline=None)
