@@ -24,26 +24,26 @@ from .groups import (
 from .invariants import (
     PathCover,
     WitnessedValue,
-    clique_number,
     cut_vertex_component_profile,
     find_complement_p4,
     hamilton_path,
-    independence_number,
     path_cover_number,
 )
 from .labeling import (
     Bound,
     Labeling,
     LambdaReport,
+    LowerCertificate,
     PartitionCertificate,
     bound_ledger,
+    check_certificate,
     construct_dihedral_labeling,
     construct_partition_labeling,
     construct_quaternion_labeling,
     construct_zpqn_labeling,
-    lambda_backtrack,
     lambda_exact,
     lambda_via_path_cover,
+    lower_certificate,
     validate_l21,
 )
 from .oracle import (
@@ -59,8 +59,7 @@ from .powergraph import (
     build_power_graph,
     complement,
     connected_components,
-    delete_vertex,
     diameter_at_most_two,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

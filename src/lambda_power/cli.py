@@ -535,10 +535,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_lambda = sub.add_parser("lambda", help="compute the span of one group")
     p_lambda.add_argument("spec")
-    p_lambda.add_argument("--method", choices=["auto", "ledger", "pathcover", "backtrack"],
+    p_lambda.add_argument("--method", choices=["auto", "ledger", "pathcover"],
                           default="auto")
     p_lambda.add_argument("--verify", action="store_true",
-                          help="run all applicable methods and require agreement")
+                          help="run every method, require agreement and check "
+                               "the certified lower bound")
     p_lambda.add_argument("--json", action="store_true")
     p_lambda.add_argument("--no-witness", action="store_true")
     p_lambda.add_argument("--budget-ms", type=int, default=None)

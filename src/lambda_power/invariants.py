@@ -1,14 +1,13 @@
-"""Exact graph invariants: cliques, Hamilton paths, minimum path covers.
+"""Exact graph invariants: Hamilton paths and minimum path covers.
 
 Everything here is deterministic: vertex scans ascend, branch orders are
 fixed, and witnesses come out canonical for a given graph. A path cover is
 settled per connected component in two stages. First, one maximum matching
 of the bipartite double cover gives both a certified lower bound lb and a
 constructed cover; when the cover has lb paths it is optimal. Only on a gap
-does the second stage, the exact quotient DP, run. Exact routines refuse
-instances above the module limits instead of silently guessing: the clique
-search above ``DEFAULT_CLIQUE_LIMIT`` vertices, the path-cover DP above
-``2**DEFAULT_DP_LIMIT`` states.
+does the second stage, the exact quotient DP, run. The exact DP refuses
+instances above ``2**DEFAULT_DP_LIMIT`` states instead of silently
+guessing.
 A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 A power graph's clique and independence numbers need no search: its group
@@ -27,19 +26,15 @@ from typing import Iterable, Sequence
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, _masked_components, bits, connected_components
 
-DEFAULT_CLIQUE_LIMIT = 128
 DEFAULT_DP_LIMIT = 24
 
 __all__ = [
-    "DEFAULT_CLIQUE_LIMIT",
     "DEFAULT_DP_LIMIT",
     "PathCover",
     "WitnessedValue",
-    "clique_number",
     "cut_vertex_component_profile",
     "find_complement_p4",
     "hamilton_path",
-    "independence_number",
     "path_cover_number",
 ]
 
@@ -62,59 +57,6 @@ class PathCover:
     @property
     def count(self) -> int:
         return len(self.paths)
-
-
-def clique_number(graph: Graph) -> WitnessedValue:
-    """Maximum clique; the search runs once per graph, after the limit check."""
-    n = graph.n
-    if n > DEFAULT_CLIQUE_LIMIT:
-        raise CapacityExceeded(
-            f"exact clique search limited to {DEFAULT_CLIQUE_LIMIT} vertices, got {n}")
-    best = graph._maximum_clique
-    return WitnessedValue(best.bit_count(), tuple(bits(best)), "clique")
-
-
-def _clique_search(graph: Graph) -> int:
-    """Mask of a maximum clique: branch and bound with greedy-coloring upper bounds."""
-    adj = graph.adj
-    best_size = 0
-    best_mask = 0
-
-    def expand(size: int, mask: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        if size > best_size:
-            best_size, best_mask = size, mask
-        if not cand:
-            return
-        # Greedy coloring of the candidate set; the color index bounds the
-        # largest clique extending into the remaining candidates.
-        order: list[tuple[int, int]] = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            q = rest
-            while q:
-                low = q & -q
-                v = low.bit_length() - 1
-                order.append((v, color))
-                rest ^= low
-                q = (q ^ low) & ~adj[v]
-        for v, bound in reversed(order):
-            if size + bound <= best_size:
-                return
-            self_bit = 1 << v
-            expand(size + 1, mask | self_bit, cand & adj[v])
-            cand &= ~self_bit
-
-    expand(0, 0, graph.full_mask)
-    return best_mask
-
-
-def independence_number(graph: Graph) -> WitnessedValue:
-    """Maximum independent set, computed as a clique of the complement."""
-    found = clique_number(graph.complement)
-    return WitnessedValue(found.value, found.witness, "independent-set")
 
 
 def _checked_witness(adj: Sequence[int], value: int, witness: int,

@@ -3,13 +3,16 @@
 An L(2,1)-labeling assigns nonnegative integers to vertices so that adjacent
 vertices differ by at least 2 and vertices at distance exactly two differ.
 The span of a labeling is max minus min label; the lambda number of a graph
-is the minimum span. This module computes it exactly by three independent
-routes (a bound ledger that can pin the value, the complement path-cover
-reduction, and iterative-deepening backtracking) and builds the explicit
-family labelings for dihedral, generalized quaternion and two-prime cyclic
-groups. The two searches return an optimal, validated ``Labeling`` whose
-span is the lambda number; ``lambda_exact`` runs them and is the one place
-that builds a ``LambdaReport``.
+is the minimum span. This module computes it exactly by two routes (a bound
+ledger that can pin the value, and the complement path-cover reduction)
+and builds the explicit family labelings for dihedral, generalized
+quaternion and two-prime cyclic groups. The path cover returns an optimal,
+validated ``Labeling`` whose span is the lambda number. A certified lower
+bound proves that span optimal: ``check_certificate``, a small checker that
+shares no code with the solvers, accepts a witness when the bound its
+``LowerCertificate`` proves equals the witness's span. ``lambda_exact``
+runs the routes, checks the certificate under ``verify=True``, and is the
+one place that builds a ``LambdaReport``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from .groups import (
     make_generalized_quaternion,
 )
 from .invariants import (
-    _cover_lower_bound,
-    _twin_classes,
-    clique_number,
+    _double_cover_matching,
+    _koenig_sets,
     cut_vertex_component_profile,
     find_complement_p4,
     path_cover_number,
@@ -44,30 +46,28 @@ from .oracle import (
 )
 from .powergraph import (
     Graph,
-    _masked_components,
     bits,
     build_power_graph,
     diameter_at_most_two,
 )
 
-DEFAULT_BACKTRACK_LIMIT = 20
-
 __all__ = [
     "Bound",
-    "DEFAULT_BACKTRACK_LIMIT",
     "Labeling",
     "LabelingViolation",
     "LambdaReport",
+    "LowerCertificate",
     "PartitionCertificate",
     "ValidationReport",
     "bound_ledger",
+    "check_certificate",
     "construct_dihedral_labeling",
     "construct_partition_labeling",
     "construct_quaternion_labeling",
     "construct_zpqn_labeling",
-    "lambda_backtrack",
     "lambda_exact",
     "lambda_via_path_cover",
+    "lower_certificate",
     "validate_l21",
 ]
 
@@ -165,11 +165,6 @@ class LambdaReport:
     notes: tuple[str, ...] = ()
 
 
-def _degree_order(graph: Graph) -> list[int]:
-    """Vertices by descending degree, ties to the lower index."""
-    return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-
-
 def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
     """Every applicable lower and upper bound on the span, tagged by source.
 
@@ -233,126 +228,79 @@ def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> Lab
     return _checked(graph, labels, expected_span=n - 1 if r == 1 else n + r - 2)
 
 
-def _twin_predecessors(graph: Graph) -> list[int]:
-    """prev_twin[v]: previous vertex in v's twin class by index, or -1.
+# ---------------------------------------------------------------------------
+# Certified lower bound
 
-    Two vertices with equal closed neighborhoods (mutually adjacent twins) or
-    equal open neighborhoods (nonadjacent twins) can swap labels in any valid
-    labeling, so forcing ascending labels within a class loses no solutions.
-    Closed twins are the open twins of the complement, and no vertex has
-    twins of both kinds, so no vertex is given two predecessors.
+
+@dataclass(frozen=True)
+class LowerCertificate:
+    """Vertex sets proving a lower bound on the span of a graph with a
+    dominating vertex (``check_certificate`` reads it).
+
+    ``cut`` is a set S of the complement G': deleting it cuts a cover of G'
+    by r paths into at most r + |S| pieces, each inside one component of
+    G' - S, so r >= c(G' - S) - |S|; every component of G' needs a path of
+    its own, so r >= c(G') too. ``clique`` is a clique C, whose labels lie
+    pairwise at least 2 apart.
     """
-    prev = [-1] * graph.n
-    for adj in (graph.adj, graph.complement.adj):
-        for members in _twin_classes(adj, range(graph.n))[0]:
-            for earlier, v in zip(members, members[1:]):
-                prev[v] = earlier
-    return prev
+
+    cut: tuple[int, ...]
+    clique: tuple[int, ...]
 
 
-def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
-                   deadline: float | None) -> list[int] | None:
-    n = graph.n
-    adj = graph.adj
-    full = (1 << (k + 1)) - 1
-    domains = [full] * n
-    labels = [-1] * n
-    used = 0
-    ticks = 0
-
-    def place(pos: int) -> bool:
-        nonlocal used, ticks
-        if pos == n:
-            return True
-        v = order[pos]
-        cand = domains[v] & ~used
-        twin = prev_twin[v]
-        if twin >= 0 and labels[twin] >= 0:
-            cand &= ~((1 << labels[twin]) - 1)  # no smaller than the earlier twin
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            ticks += 1
-            if deadline is not None and (ticks & 2047) == 0 \
-                    and time.monotonic() > deadline:
-                raise CapacityExceeded("time budget exhausted during span search")
-            labels[v] = low.bit_length() - 1
-            used |= low
-            near = low | (low << 1) | (low >> 1)
-            trail: list[tuple[int, int]] = []
-            ok = True
-            for u in bits(adj[v]):
-                if labels[u] >= 0:
-                    continue
-                old = domains[u]
-                new = old & ~near
-                if new != old:
-                    domains[u] = new
-                    trail.append((u, old))
-                    if not new:
-                        ok = False
-                        break
-            if ok and place(pos + 1):
-                return True
-            for u, old in trail:
-                domains[u] = old
-            labels[v] = -1
-            used &= ~low
-        return False
-
-    return list(labels) if place(0) else None
+def lower_certificate(g: FiniteGroup) -> LowerCertificate:
+    """The certificate for ``g``'s power graph: S is the set N(X) behind the
+    path-cover lower bound (``_cover_lower_bound``) on the whole complement,
+    C the heaviest chain of cyclic subgroups."""
+    complement = build_power_graph(g).complement
+    adj, mask = complement.adj, complement.full_mask
+    cut = _koenig_sets(adj, mask, _double_cover_matching(adj, mask))[1]
+    return LowerCertificate(tuple(bits(cut)), g.power_graph_clique.witness)
 
 
-def _scattering_count(graph: Graph, s: int) -> int:
-    """max(c(G'), c(G' - S) - |S|) for G' the complement, counted afresh.
+def check_certificate(graph: Graph, labeling: Labeling, cert: LowerCertificate) -> int | None:
+    """The lower bound ``cert`` proves on the lambda number of ``graph``, or
+    None when the checker rejects: no vertex dominates, ``labeling`` is no
+    L(2,1)-labeling, or C is no clique. A witness is accepted, and its span
+    is the lambda number, when the bound equals ``labeling.span``.
 
-    Every component of G' needs a path of its own, and deleting S cuts a
-    cover of r paths into at most r + |S| pieces, each inside one component
-    of G' - S; so both counts bound r from below, for any vertex set S.
+    A dominating vertex puts every pair within distance two, so a labeling
+    is valid exactly when its labels are distinct and no adjacent pair takes
+    l and l + 1: one sort and n bit tests. Each run of consecutive labels is
+    then a path of the complement G', so a cover of G' by r paths forces a
+    span of at least n + r - 2. Shares no code with the solvers.
     """
-    rows = graph.complement.adj
-    full = graph.full_mask
-    return max(len(_masked_components(rows, full)),
-               len(_masked_components(rows, full & ~s)) - s.bit_count())
+    n, adj, full = graph.n, graph.adj, graph.full_mask
+    labels = labeling.labels
+    if len(labels) != n or not any(row | 1 << v == full for v, row in enumerate(adj)):
+        return None
+    order = sorted(range(n), key=labels.__getitem__)
+    for u, v in zip(order, order[1:]):
+        if labels[u] == labels[v] or labels[v] - labels[u] == 1 and (adj[u] >> v) & 1:
+            return None
+    if not all(0 <= v < n for v in cert.cut + cert.clique):
+        return None
+    clique = sum(1 << v for v in set(cert.clique))
+    cut = sum(1 << v for v in set(cert.cut))
+    if any(adj[v] & clique != clique ^ 1 << v for v in bits(clique)):
+        return None
+    rows = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]  # G'
 
+    def components(mask: int) -> int:
+        count = 0
+        while mask:
+            count += 1
+            frontier = mask & -mask
+            while frontier:
+                mask &= ~frontier
+                reach = 0
+                for v in bits(frontier):
+                    reach |= rows[v]
+                frontier = reach & mask
+        return count
 
-def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> Labeling:
-    """Optimal labeling of a diameter <= 2 graph by iterative deepening on the span.
-
-    Each deepening step either finds a labeling of that span or proves none
-    exists, so the first labeling found has the lambda number as its span;
-    the labeling 0, 2, ..., 2n - 2 always fits, so the deepening ends there.
-    Graphs above ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. At
-    diameter <= 2 every two vertices are within distance two, so labels are
-    pairwise distinct; vertices are tried by descending degree, labels
-    ascending, with forward checking on the neighbors.
-
-    The deepening starts at the larger of 2*omega - 2 and n + r - 2, for r a
-    certified lower bound on the complement's minimum path cover: each run
-    of consecutive labels is a complement path, so a labeling needs at least
-    r runs and r - 1 gaps. Only the set S of ``_cover_lower_bound`` is taken;
-    r is recounted from S by ``_scattering_count``, which shares no code with
-    the matching or the path-cover DP, so the search stays an independent
-    check.
-    """
-    n = graph.n
-    if n == 0:
-        raise ValueError("graph must have at least one vertex")
-    if not diameter_at_most_two(graph):
-        raise ValueError("backtracking requires a graph of diameter at most 2")
-    if n > DEFAULT_BACKTRACK_LIMIT:
-        raise CapacityExceeded(
-            f"backtracking limited to {DEFAULT_BACKTRACK_LIMIT} vertices, got {n}")
-    certificate = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
-    lower = max(2 * clique_number(graph).value - 2,
-                n + _scattering_count(graph, certificate) - 2)
-    order = _degree_order(graph)
-    prev_twin = _twin_predecessors(graph)
-    for k in range(lower, 2 * n - 1):
-        found = _span_feasible(graph, k, order, prev_twin, deadline)
-        if found is not None:
-            return _checked(graph, found, expected_span=k)
-    raise InternalError(f"no labeling found up to span {2 * n - 2}")
+    paths = max(components(full), components(full & ~cut) - cut.bit_count())
+    return max(n - 1, n + paths - 2, 2 * clique.bit_count() - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +502,17 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     """Exact span of the power graph of ``g`` with witness and provenance.
 
     Strategy cascade for ``method="auto"``: a pinned bound ledger wins, then
-    the path-cover reduction, then backtracking. ``verify=True`` runs every
-    applicable method and raises VerificationError on disagreement. When no
-    method fits the limits the report is bounds-only with ``exact=False``;
-    refusals go to ``notes``, so CapacityExceeded is never raised.
+    the path-cover reduction. ``verify=True`` runs both and raises
+    VerificationError on disagreement; it then checks the path-cover
+    witness against the certified lower bound (``check_certificate``), at
+    every order, and records ``"certificate"`` in ``methods_run`` when the
+    bound meets the witness's span. A bound below it leaves a note, one
+    above it (a sound bound above a valid labeling) raises InternalError.
+    When no method fits the limits the report is bounds-only with
+    ``exact=False``; refusals go to ``notes``, so CapacityExceeded is never
+    raised.
     """
-    if method not in ("auto", "ledger", "pathcover", "backtrack"):
+    if method not in ("auto", "ledger", "pathcover"):
         raise ValueError(f"unknown method {method!r}")
     if budget_ms is not None and budget_ms < 0:
         raise ValueError(f"budget_ms must be at least 0, got {budget_ms}")
@@ -571,37 +524,35 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     lower, upper = _bound_window(bounds)
     notes: list[str] = []
     results: dict[str, int] = {}
-    witness: Labeling | None = None  # the first search's labeling
+    witness: Labeling | None = None  # the path cover's labeling
 
-    # (method name, report tag, search) in the order auto mode tries them.
-    # The ledger is already computed, so the time budget gates only the searches.
-    cascade = (
-        ("ledger", "ledger", None),
-        ("pathcover", "path-cover", lambda_via_path_cover),
-        ("backtrack", "backtrack", lambda_backtrack),
-    )
-    for name, tag, search in cascade:
-        auto_turn = method == "auto" and not results and (
-            name == "ledger" or deadline is None or time.monotonic() <= deadline)
-        if not (verify or method == name or auto_turn):
-            continue
-        if search is None:
-            if lower == upper:
-                results[tag] = lower
-            continue
+    # The ledger is already computed, so the time budget gates only the search.
+    if lower == upper and (verify or method in ("auto", "ledger")):
+        results["ledger"] = lower
+    if verify or method == "pathcover" or method == "auto" and not results and (
+            deadline is None or time.monotonic() <= deadline):
         try:
-            found = search(graph, deadline=deadline)
+            witness = lambda_via_path_cover(graph, deadline=deadline)
         except CapacityExceeded as exc:
-            notes.append(f"{tag} unavailable: {exc}")
-            continue
-        results[tag] = found.span
-        if witness is None:
-            witness = found
+            notes.append(f"path-cover unavailable: {exc}")
+        else:
+            results["path-cover"] = witness.span
 
     if verify and len(set(results.values())) > 1:
         raise VerificationError(
             f"methods disagree for {g.descriptor.name}: {results}", values=results
         )
+    if verify and witness is not None:
+        certified = check_certificate(graph, witness, lower_certificate(g))
+        if certified is None or certified > witness.span:
+            raise InternalError(
+                f"certificate checker gives {certified} on a validated witness "
+                f"of span {witness.span} for {g.descriptor.name}")
+        if certified < witness.span:
+            notes.append(f"verification incomplete: certified lower bound {certified} "
+                         f"below witness span {witness.span}")
+        else:
+            results["certificate"] = certified
     if verify and len(results) < 2:
         notes.append("verification incomplete: fewer than two methods ran")
 

@@ -1,7 +1,7 @@
 """Simple undirected graphs over bitmask adjacency rows.
 
-A graph is only its rows. The invariants accept any simple graph; the two
-span searches take graphs of diameter at most 2, as every power graph is.
+A graph is only its rows. The invariants accept any simple graph; the span
+search takes graphs of diameter at most 2, as every power graph is.
 Vertices are 0-based; adjacency row v is an int whose bit u says u and v are
 adjacent, so neighborhood intersections are single ANDs. A group builds its
 power graph once; ``build_power_graph`` hands it out. Every construction
@@ -25,7 +25,6 @@ __all__ = [
     "build_power_graph",
     "complement",
     "connected_components",
-    "delete_vertex",
     "diameter_at_most_two",
 ]
 
@@ -129,12 +128,6 @@ class Graph:
             rows.append(reach & rest)
         return tuple(rows)
 
-    @cached_property
-    def _maximum_clique(self) -> int:
-        """Vertex mask of a maximum clique (``clique_number``); searched once."""
-        from .invariants import _clique_search  # invariants builds on this module
-        return _clique_search(self)
-
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows = [0] * n
@@ -154,20 +147,6 @@ def build_power_graph(g: FiniteGroup) -> Graph:
 def complement(graph: Graph) -> Graph:
     """Same vertices, edges exactly where the input has none (``graph.complement``)."""
     return graph.complement
-
-
-def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Graph minus vertex v, plus the survivor map (new index -> old index)."""
-    n = graph.n
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range for {n}-vertex graph")
-    survivors = tuple(u for u in range(n) if u != v)
-    low_mask = (1 << v) - 1
-    rows = []
-    for u in survivors:
-        row = graph.adj[u] & ~(1 << v)
-        rows.append((row & low_mask) | ((row >> (v + 1)) << v))
-    return Graph(tuple(rows)), survivors
 
 
 def _masked_components(adj: tuple[int, ...], mask: int) -> list[list[int]]:

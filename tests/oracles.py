@@ -7,14 +7,29 @@ assignment over breadth-first distances. The row check and the labeling
 check are the per-edge and per-pair scans that the row-at-a-time kernels
 of ``Graph`` and ``validate_l21`` must agree with. Group tables are
 checked on every triple.
+
+Two exact searches that once lived in the package are kept here as
+references for graphs too large for brute force: the branch-and-bound
+clique search (``clique_number``, ``independence_number``) and
+iterative-deepening backtracking on the span (``lambda_backtrack``).
+Backtracking takes only the set S of the package's path-cover lower bound
+as a hint and recounts the bound from S itself; any S gives a sound bound,
+so a wrong S can slow the search down but not change its answer.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from itertools import combinations
 
+from lambda_power.errors import CapacityExceeded, InternalError
+from lambda_power.invariants import WitnessedValue, _cover_lower_bound
+from lambda_power.labeling import Labeling
 from lambda_power.powergraph import Graph, bits
+
+DEFAULT_CLIQUE_LIMIT = 128
+DEFAULT_BACKTRACK_LIMIT = 20
 
 
 def adjacency_sets(graph: Graph) -> list[set[int]]:
@@ -249,3 +264,209 @@ def is_group_table(table, inverses) -> bool:
                 for x in indices)
             and all(table[table[a][b]][c] == table[a][table[b][c]]
                     for a in indices for b in indices for c in indices))
+
+
+def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
+    """Graph minus vertex v, plus the survivor map (new index -> old index)."""
+    n = graph.n
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for {n}-vertex graph")
+    survivors = tuple(u for u in range(n) if u != v)
+    low_mask = (1 << v) - 1
+    rows = []
+    for u in survivors:
+        row = graph.adj[u] & ~(1 << v)
+        rows.append((row & low_mask) | ((row >> (v + 1)) << v))
+    return Graph(tuple(rows)), survivors
+
+
+def clique_number(graph: Graph) -> WitnessedValue:
+    """Maximum clique of a general graph, refused above ``DEFAULT_CLIQUE_LIMIT``
+    vertices; the limit bounds size, not time."""
+    n = graph.n
+    if n > DEFAULT_CLIQUE_LIMIT:
+        raise CapacityExceeded(
+            f"exact clique search limited to {DEFAULT_CLIQUE_LIMIT} vertices, got {n}")
+    best = _clique_search(graph)
+    return WitnessedValue(best.bit_count(), tuple(bits(best)), "clique")
+
+
+def _clique_search(graph: Graph) -> int:
+    """Mask of a maximum clique: branch and bound with greedy-coloring upper bounds."""
+    adj = graph.adj
+    best_size = 0
+    best_mask = 0
+
+    def expand(size: int, mask: int, cand: int) -> None:
+        nonlocal best_size, best_mask
+        if size > best_size:
+            best_size, best_mask = size, mask
+        if not cand:
+            return
+        # Greedy coloring of the candidate set; the color index bounds the
+        # largest clique extending into the remaining candidates.
+        order: list[tuple[int, int]] = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                order.append((v, color))
+                rest ^= low
+                q = (q ^ low) & ~adj[v]
+        for v, bound in reversed(order):
+            if size + bound <= best_size:
+                return
+            self_bit = 1 << v
+            expand(size + 1, mask | self_bit, cand & adj[v])
+            cand &= ~self_bit
+
+    expand(0, 0, graph.full_mask)
+    return best_mask
+
+
+def independence_number(graph: Graph) -> WitnessedValue:
+    """Maximum independent set, computed as a clique of the complement."""
+    found = clique_number(graph.complement)
+    return WitnessedValue(found.value, found.witness, "independent-set")
+
+
+def scattering_count(graph: Graph, s: int) -> int:
+    """max(c(G), c(G - S) - |S|), counted by breadth-first search: a lower
+    bound on the minimum path cover of ``graph`` for any vertex mask S.
+
+    Every component needs a path of its own, and deleting S cuts a cover of
+    r paths into at most r + |S| pieces, each inside one component of G - S.
+    """
+    def count(keep: set[int]) -> int:
+        components = 0
+        while keep:
+            components += 1
+            queue = deque([keep.pop()])
+            while queue:
+                for u in bits(graph.adj[queue.popleft()]):
+                    if u in keep:
+                        keep.remove(u)
+                        queue.append(u)
+        return components
+
+    return max(count(set(range(graph.n))),
+               count(set(range(graph.n)) - set(bits(s))) - s.bit_count())
+
+
+def _degree_order(graph: Graph) -> list[int]:
+    """Vertices by descending degree, ties to the lower index."""
+    return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+
+
+def _twin_predecessors(graph: Graph) -> list[int]:
+    """prev_twin[v]: previous vertex in v's twin class by index, or -1.
+
+    Two vertices with equal closed neighborhoods (mutually adjacent twins) or
+    equal open neighborhoods (nonadjacent twins) can swap labels in any valid
+    labeling, so forcing ascending labels within a class loses no solutions.
+    No vertex has twins of both kinds, so no vertex is given two predecessors.
+    """
+    prev = [-1] * graph.n
+    for closed in (False, True):
+        last: dict[int, int] = {}
+        for v, row in enumerate(graph.adj):
+            key = row | (1 << v) if closed else row
+            if key in last:
+                prev[v] = last[key]
+            last[key] = v
+    return prev
+
+
+def _span_feasible(graph: Graph, k: int, order: list[int], prev_twin: list[int],
+                   deadline: float | None) -> list[int] | None:
+    n = graph.n
+    adj = graph.adj
+    full = (1 << (k + 1)) - 1
+    domains = [full] * n
+    labels = [-1] * n
+    used = 0
+    ticks = 0
+
+    def place(pos: int) -> bool:
+        nonlocal used, ticks
+        if pos == n:
+            return True
+        v = order[pos]
+        cand = domains[v] & ~used
+        twin = prev_twin[v]
+        if twin >= 0 and labels[twin] >= 0:
+            cand &= ~((1 << labels[twin]) - 1)  # no smaller than the earlier twin
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            ticks += 1
+            if deadline is not None and (ticks & 2047) == 0 \
+                    and time.monotonic() > deadline:
+                raise CapacityExceeded("time budget exhausted during span search")
+            labels[v] = low.bit_length() - 1
+            used |= low
+            near = low | (low << 1) | (low >> 1)
+            trail: list[tuple[int, int]] = []
+            ok = True
+            for u in bits(adj[v]):
+                if labels[u] >= 0:
+                    continue
+                old = domains[u]
+                new = old & ~near
+                if new != old:
+                    domains[u] = new
+                    trail.append((u, old))
+                    if not new:
+                        ok = False
+                        break
+            if ok and place(pos + 1):
+                return True
+            for u, old in trail:
+                domains[u] = old
+            labels[v] = -1
+            used &= ~low
+        return False
+
+    return list(labels) if place(0) else None
+
+
+def lambda_backtrack(graph: Graph, *, deadline: float | None = None) -> Labeling:
+    """Optimal labeling of a diameter <= 2 graph by iterative deepening on the span.
+
+    Each deepening step either finds a labeling of that span or proves none
+    exists, so the first labeling found has the lambda number as its span;
+    the labeling 0, 2, ..., 2n - 2 always fits, so the deepening ends there.
+    Graphs above ``DEFAULT_BACKTRACK_LIMIT`` vertices are refused. At
+    diameter <= 2 every two vertices are within distance two, so labels are
+    pairwise distinct; vertices are tried by descending degree, labels
+    ascending, with forward checking on the neighbors.
+
+    The deepening starts at the larger of 2*omega - 2 and n + r - 2, for r
+    the ``scattering_count`` of the complement on the set S of the package's
+    ``_cover_lower_bound``: each run of consecutive labels is a complement
+    path, so a labeling needs at least r runs and r - 1 gaps.
+    """
+    n = graph.n
+    if n == 0:
+        raise ValueError("graph must have at least one vertex")
+    if any(d < 0 or d > 2 for v in range(n) for d in bfs_distances(graph, v)):
+        raise ValueError("backtracking requires a graph of diameter at most 2")
+    if n > DEFAULT_BACKTRACK_LIMIT:
+        raise CapacityExceeded(
+            f"backtracking limited to {DEFAULT_BACKTRACK_LIMIT} vertices, got {n}")
+    cut = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
+    lower = max(2 * clique_number(graph).value - 2,
+                n + scattering_count(graph.complement, cut) - 2)
+    order = _degree_order(graph)
+    prev_twin = _twin_predecessors(graph)
+    for k in range(lower, 2 * n - 1):
+        found = _span_feasible(graph, k, order, prev_twin, deadline)
+        if found is not None:
+            if not check_l21(graph, found) or max(found) - min(found) != k:
+                raise InternalError(f"span search returned an invalid labeling at span {k}")
+            return Labeling(tuple(found))
+    raise InternalError(f"no labeling found up to span {2 * n - 2}")

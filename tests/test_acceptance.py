@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import brute_path_cover_count
+from oracles import brute_path_cover_count, delete_vertex, independence_number, lambda_backtrack
 
 from lambda_power import (
     build_power_graph,
@@ -20,10 +20,7 @@ from lambda_power import (
     construct_dihedral_labeling,
     construct_quaternion_labeling,
     construct_zpqn_labeling,
-    delete_vertex,
     find_complement_p4,
-    independence_number,
-    lambda_backtrack,
     lambda_exact,
     lambda_via_path_cover,
     make_cyclic,

@@ -7,7 +7,9 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambda_power import __version__, groups, invariants
+import oracles
+
+from lambda_power import __version__, groups
 from lambda_power.cli import (
     build_group,
     builtin_corpus,
@@ -174,6 +176,21 @@ def test_cmd_lambda_verify(capsys):
     assert len(payload["methods_run"]) >= 2
 
 
+@pytest.mark.parametrize("spec, value, methods", [
+    ("Q20", 20, ["certificate", "path-cover"]),
+    ("D1024", 1024, ["certificate", "ledger", "path-cover"]),
+])
+def test_cmd_lambda_verify_certifies_past_twenty_vertices(capsys, spec, value, methods):
+    # Q20's span search once ran past 30 s, and no second method ran above
+    # 20 vertices; the certified lower bound settles both at once
+    code, out, _ = run(capsys, "lambda", spec, "--verify", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lambda"], payload["exact"]) == (value, True)
+    assert payload["methods_run"] == methods
+    assert payload["notes"] == []
+
+
 def test_cmd_lambda_a5_ledger(capsys):
     code, out, _ = run(capsys, "lambda", "A5", "--no-witness", "--json")
     assert code == 0
@@ -213,8 +230,10 @@ def test_cmd_lambda_rejects_a_negative_budget(capsys):
 @pytest.mark.parametrize("argv", [("lambda", "Z6", "--dp-limit", "5"),
                                   ("lambda", "Z6", "--bogus"),
                                   ("verify", "octahedral"),
-                                  ("lambda",)],
-                         ids=["removed-flag", "unknown-flag", "bad-choice", "no-spec"])
+                                  ("lambda",),
+                                  ("lambda", "Z6", "--method", "backtrack")],
+                         ids=["removed-flag", "unknown-flag", "bad-choice", "no-spec",
+                              "removed-method"])
 def test_usage_error_exit_code(capsys, argv):
     # a usage error is an error (1), not an inexact answer (2)
     code, out, err = run(capsys, *argv)
@@ -369,7 +388,7 @@ def test_enumerate_runs_no_clique_search(capsys, monkeypatch):
         posets.append(below)
         return antichain(below)
 
-    monkeypatch.setattr(invariants, "_clique_search", searched.append)
+    monkeypatch.setattr(oracles, "_clique_search", searched.append)
     monkeypatch.setattr(groups, "_widest_antichain", counting)
     code, out, _ = run(capsys, "enumerate", "--max-order", "12")
     assert code == 0
@@ -444,14 +463,14 @@ def test_cache_record_of_another_version_is_a_miss(tmp_path, capsys):
 
 
 def test_verify_settles_z2xz2xz5_within_budget(capsys):
-    # backtracking starts at the certified cover bound, so it has no
-    # infeasible spans left to refute
+    # the certified lower bound meets the path-cover witness's span, so
+    # nothing is searched a second time
     code, out, _ = run(capsys, "lambda", "Z2xZ2xZ5", "--verify", "--json",
                        "--budget-ms", "2000")
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda"] == 21  # 5p - 4
-    assert payload["methods_run"] == ["backtrack", "path-cover"]
+    assert payload["methods_run"] == ["certificate", "path-cover"]
 
 
 def test_builtin_corpus_shape():

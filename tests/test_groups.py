@@ -378,7 +378,7 @@ def test_exhaustive_validation_names_the_first_non_associative_triple(x, j, k):
         broken(z6, table=table)
 
 
-def test_sampled_validation_refuses_a_non_associative_table_above_order_64():
+def test_validation_refuses_a_non_associative_latin_square_of_order_100():
     # Z50 x Z2 with (a, s)(b, t) = (a + b, s + t + [a = b != 0]) at index 2a + s:
     # a Latin square with identity 0, but [a = b != 0] is not a cocycle, so
     # (ab)c != a(bc) on about 7% of all triples.

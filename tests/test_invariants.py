@@ -7,7 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_hamilton_exists, brute_max_clique, brute_path_cover_count
+import oracles
+from oracles import (
+    brute_hamilton_exists,
+    brute_max_clique,
+    brute_path_cover_count,
+    clique_number,
+    delete_vertex,
+    independence_number,
+)
 
 from lambda_power import cli, groups, invariants, labeling, oracle, powergraph
 from lambda_power import (
@@ -15,14 +23,11 @@ from lambda_power import (
     Graph,
     InternalError,
     build_power_graph,
-    clique_number,
     complement,
     cut_vertex_component_profile,
-    delete_vertex,
     direct_product,
     find_complement_p4,
     hamilton_path,
-    independence_number,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -76,7 +81,7 @@ def test_clique_matches_brute_force():
 
 def test_clique_capacity():
     with pytest.raises(CapacityExceeded):
-        clique_number(pg(make_cyclic(invariants.DEFAULT_CLIQUE_LIMIT + 1)))
+        clique_number(pg(make_cyclic(oracles.DEFAULT_CLIQUE_LIMIT + 1)))
 
 
 def test_independence_examples():

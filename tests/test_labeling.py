@@ -1,18 +1,22 @@
 """Labeling validation, exact span solvers and the constructive labelings."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from oracles import brute_lambda, check_l21
+import oracles
+from oracles import brute_lambda, check_l21, lambda_backtrack
 
 from lambda_power import (
     Bound,
     CapacityExceeded,
     Graph,
     Labeling,
+    LowerCertificate,
     PartitionCertificate,
     bound_ledger,
+    check_certificate,
     build_power_graph,
     construct_dihedral_labeling,
     construct_partition_labeling,
@@ -20,9 +24,9 @@ from lambda_power import (
     construct_zpqn_labeling,
     direct_product,
     from_permutations,
-    lambda_backtrack,
     lambda_exact,
     lambda_via_path_cover,
+    lower_certificate,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -112,13 +116,13 @@ def test_backtrack_requires_diameter_two(graph):
 
 
 def test_backtrack_trusts_only_the_recounted_cover_bound(monkeypatch):
-    real = labeling_module._cover_lower_bound
+    real = oracles._cover_lower_bound
 
     def inflated(adj, mask):
         lb, certificate = real(adj, mask)
         return lb + 5, certificate
 
-    monkeypatch.setattr(labeling_module, "_cover_lower_bound", inflated)
+    monkeypatch.setattr(oracles, "_cover_lower_bound", inflated)
     for group in (make_cyclic(6), make_dihedral(12), make_generalized_quaternion(12),
                   direct_product(direct_product(make_cyclic(2), make_cyclic(2)),
                                  make_cyclic(5))):
@@ -127,15 +131,15 @@ def test_backtrack_trusts_only_the_recounted_cover_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["Q16", "Z2xZ2xZ4", "Z4xZ4"])
-def test_verify_backtracks_where_it_timed_out_before(spec):
+def test_verify_certifies_where_backtracking_timed_out_before(spec):
     report = lambda_exact(build_group(parse_group_spec(spec)), verify=True)
-    assert "backtrack" in report.methods_run
+    assert "certificate" in report.methods_run
     assert len(report.methods_run) >= 2
 
 
 def test_backtrack_capacity():
     with pytest.raises(CapacityExceeded):
-        lambda_backtrack(pg(make_cyclic(labeling_module.DEFAULT_BACKTRACK_LIMIT + 1)))
+        lambda_backtrack(pg(make_cyclic(oracles.DEFAULT_BACKTRACK_LIMIT + 1)))
 
 
 def test_backtrack_deepening_reaches_twice_n_minus_two():
@@ -146,9 +150,132 @@ def test_backtrack_deepening_reaches_twice_n_minus_two():
 
 def test_backtrack_past_twice_n_minus_two_is_an_internal_error(monkeypatch):
     # the labeling 0, 2, ..., 2n - 2 always fits, so only a bug gets here
-    monkeypatch.setattr(labeling_module, "_span_feasible", lambda *args: None)
+    monkeypatch.setattr(oracles, "_span_feasible", lambda *args: None)
     with pytest.raises(InternalError, match="up to span 6"):
         lambda_backtrack(pg(make_cyclic(4)))
+
+
+PINNED_LARGE = ("D512", "D1024", "Q512", "Q1024", "Z729", "x".join(["Z2"] * 9),
+                "x".join(["Z3"] * 5), "perm:(1 2 3 4 5 6);(1 2)")
+
+
+def certified(spec):
+    """The power graph of ``spec``, its path-cover witness and its certificate."""
+    g = build_group(parse_group_spec(spec))
+    graph = pg(g)
+    return graph, lambda_via_path_cover(graph), lower_certificate(g)
+
+
+def test_certified_bound_is_the_span_on_the_corpus_and_the_large_pinned_groups():
+    groups = [g for _, g in builtin_corpus(100)]
+    groups += [build_group(parse_group_spec(spec)) for spec in PINNED_LARGE]
+    for g in groups:
+        report = lambda_exact(g, verify=True)
+        assert report.exact and "certificate" in report.methods_run, g.descriptor.name
+        assert not any(note.startswith("verification incomplete") for note in report.notes)
+        # the ledger's family witness, where one is laid, is certified too
+        auto = lambda_exact(g)
+        cert = lower_certificate(g)
+        assert check_certificate(pg(g), auto.labeling, cert) == auto.value == report.value
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ2xZ5", "Z2xZ4xZ11", "Z3xZ3xZ11", "Z2xZ2xZ25"])
+def test_certificate_rejects_a_vertex_dropped_from_the_cut(spec):
+    # on these only the scattering term c(G' - S) - |S| reaches the span
+    graph, witness, cert = certified(spec)
+    assert check_certificate(graph, witness, cert) == witness.span
+    assert check_certificate(graph, witness, replace(cert, cut=())) < witness.span
+    for v in cert.cut:
+        dropped = replace(cert, cut=tuple(u for u in cert.cut if u != v))
+        assert check_certificate(graph, witness, dropped) < witness.span
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ2xZ5", "Z12", "Q16", "D10", "Z2xZ2xZ2"])
+def test_certificate_rejects_a_witness_label_shifted_by_one(spec):
+    # a shift is accepted only where it leaves an L(2,1)-labeling of the
+    # same span, which is then optimal too
+    graph, witness, cert = certified(spec)
+    rejected = 0
+    for v in range(graph.n):
+        for delta in (-1, 1):
+            labels = list(witness.labels)
+            labels[v] += delta
+            shifted = Labeling(tuple(labels))
+            accepted = check_certificate(graph, shifted, cert) == shifted.span
+            assert accepted == (validate_l21(graph, shifted).ok
+                                and shifted.span == witness.span), (v, delta)
+            rejected += not accepted
+    assert rejected >= graph.n
+
+
+def test_certificate_rejects_a_clique_with_a_non_edge():
+    graph, witness, cert = certified("Z12")  # 2 * omega - 2 = 16 is the span
+    assert check_certificate(graph, witness, cert) == witness.span == 16
+    stranger = next(v for v in range(graph.n) if v not in cert.clique
+                    and not all(graph.adjacent(v, u) for u in cert.clique[1:]))
+    assert check_certificate(graph, witness,
+                             replace(cert, clique=(stranger, *cert.clique[1:]))) is None
+    assert check_certificate(graph, witness, replace(cert, clique=(graph.n,))) is None
+    assert check_certificate(graph, witness, replace(cert, cut=(-1,))) is None
+
+
+def test_certificate_rejects_a_graph_with_no_dominating_vertex():
+    # the 5-cycle has diameter 2 and this labeling is valid, but no vertex
+    # dominates, so the rows alone do not show every pair within distance two
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    labeling = Labeling((0, 2, 4, 1, 3))
+    assert validate_l21(c5, labeling).ok
+    assert check_certificate(c5, labeling, LowerCertificate((), ())) is None
+    # a hub makes it a wheel, whose complement has the hub on its own: two
+    # components, so the bound is 6 and this labeling is optimal
+    wheel = Graph.from_edges(6, c5.edges() + [(v, 5) for v in range(5)])
+    assert check_certificate(wheel, Labeling((0, 2, 4, 1, 3, 6)),
+                             LowerCertificate((), ())) == 6
+
+
+def test_verify_notes_a_certified_bound_below_the_span(monkeypatch):
+    real = labeling_module.lower_certificate
+    monkeypatch.setattr(labeling_module, "lower_certificate",
+                        lambda g: replace(real(g), cut=()))
+    report = lambda_exact(build_group(parse_group_spec("Z2xZ2xZ5")), verify=True)
+    assert report.exact and report.value == 21
+    assert report.methods_run == ("path-cover",)
+    assert "verification incomplete: certified lower bound 20 below witness span 21" \
+        in report.notes
+
+
+@pytest.mark.parametrize("answer", [None, 9], ids=["rejected", "above-the-span"])
+def test_verify_refuses_a_certified_bound_above_the_span(monkeypatch, answer):
+    monkeypatch.setattr(labeling_module, "check_certificate", lambda *args: answer)
+    with pytest.raises(InternalError, match="certificate checker gives"):
+        lambda_exact(make_cyclic(6), verify=True)
+
+
+def test_verify_checks_the_certificate_on_the_one_path_cover(monkeypatch):
+    # nothing is solved twice: one path cover, whose witness is certified;
+    # without verify no certificate is computed at all
+    calls = Counter()
+    for name in ("lambda_via_path_cover", "lower_certificate", "check_certificate"):
+        def counted(*args, _name=name, _fn=getattr(labeling_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(labeling_module, name, counted)
+    for spec in ("Z2xZ2xZ5", "D12", "Q20"):
+        g = build_group(parse_group_spec(spec))
+        calls.clear()
+        lambda_exact(g)
+        lambda_exact(g, method="pathcover")
+        assert calls["lower_certificate"] == calls["check_certificate"] == 0
+        calls.clear()
+        report = lambda_exact(g, verify=True)
+        assert calls == {"lambda_via_path_cover": 1, "lower_certificate": 1,
+                         "check_certificate": 1}
+        assert "certificate" in report.methods_run
+
+
+def test_backtrack_is_no_longer_a_method():
+    with pytest.raises(ValueError, match="unknown method 'backtrack'"):
+        lambda_exact(make_cyclic(6), method="backtrack")
 
 
 def test_path_cover_method_z6():
@@ -331,7 +458,7 @@ def test_bound_ledger_runs_no_clique_search(monkeypatch):
     def refuse(graph):
         raise AssertionError("the bound ledger searched a graph for a clique")
 
-    monkeypatch.setattr(invariants, "_clique_search", refuse)
+    monkeypatch.setattr(oracles, "_clique_search", refuse)
     g = build_group(parse_group_spec("D12xQ8"))
     entries = {b.source: b.value for b in bound_ledger(g)}
     assert entries["clique"] == 2 * 9 - 2
@@ -348,7 +475,7 @@ def test_bound_ledger_is_exact_above_the_clique_limit(spec, omega, alpha):
     # past the limit of the general-graph clique search
     g = build_group(parse_group_spec(spec))
     n = g.order
-    assert n > invariants.DEFAULT_CLIQUE_LIMIT
+    assert n > oracles.DEFAULT_CLIQUE_LIMIT
     bounds = bound_ledger(g)
     assert all(b.exact and b.note == "" for b in bounds)
     entries = {b.source: b for b in bounds}
@@ -369,7 +496,7 @@ def test_lambda_exact_witness_under_every_method_and_verify_setting():
     # is bounds-only with none
     for _, g in builtin_corpus(12):
         graph = pg(g)
-        for method in ("auto", "ledger", "pathcover", "backtrack"):
+        for method in ("auto", "ledger", "pathcover"):
             for verify in (False, True):
                 report = lambda_exact(g, method=method, verify=verify)
                 if report.exact:
@@ -423,7 +550,8 @@ def test_lambda_exact_witness_always_validates():
 def test_lambda_exact_forced_methods_agree():
     g = make_cyclic(12)
     values = {method: lambda_exact(g, method=method).value
-              for method in ("auto", "pathcover", "backtrack")}
+              for method in ("auto", "pathcover")}
+    values["backtrack"] = lambda_backtrack(pg(g)).span
     assert len(set(values.values())) == 1
 
 
@@ -488,7 +616,7 @@ def test_lambda_exact_never_raises_capacity(monkeypatch):
     groups = [g for _, g in builtin_corpus(10)]
     groups += [build_group(parse_group_spec(s)) for s in ("D64", "Z2x" * 5 + "Z2", "Z72")]
     for g in groups:
-        for method in ("auto", "ledger", "pathcover", "backtrack"):
+        for method in ("auto", "ledger", "pathcover"):
             for verify in (False, True):
                 report = lambda_exact(g, method=method, verify=verify, budget_ms=0)
                 assert report.order == g.order

@@ -2,17 +2,17 @@
 
 import pytest
 
+from oracles import delete_vertex, independence_number
+
 from lambda_power import (
     build_power_graph,
     check_lower_equality,
     check_upper_classification,
     classify_alpha2,
     complement,
-    delete_vertex,
     direct_product,
     euler_phi,
     from_permutations,
-    independence_number,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,

@@ -5,13 +5,14 @@ import io
 
 import pytest
 
+from oracles import delete_vertex
+
 from lambda_power import (
     Graph,
     build_power_graph,
     check_lower_equality,
     complement,
     connected_components,
-    delete_vertex,
     diameter_at_most_two,
     direct_product,
     lambda_exact,

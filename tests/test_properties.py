@@ -15,13 +15,19 @@ from oracles import (
     brute_lambda,
     brute_max_clique,
     brute_path_cover_count,
+    _twin_predecessors,
     check_l21,
+    clique_number,
     composed_permutation_table,
+    delete_vertex,
+    independence_number,
     is_group_table,
+    lambda_backtrack,
     pair_product_table,
     power_walk,
     reference_row_check,
     reference_violations,
+    scattering_count,
 )
 
 from lambda_power import (
@@ -29,17 +35,15 @@ from lambda_power import (
     Graph,
     InternalError,
     Labeling,
+    LowerCertificate,
     build_power_graph,
-    clique_number,
+    check_certificate,
     complement,
     connected_components,
     cut_vertex_component_profile,
-    delete_vertex,
     diameter_at_most_two,
     direct_product,
     hamilton_path,
-    independence_number,
-    lambda_backtrack,
     path_cover_number,
     validate_l21,
 )
@@ -53,7 +57,7 @@ from lambda_power.groups import (
 )
 from lambda_power import invariants
 from lambda_power.invariants import _cover_lower_bound, _hamilton_path_on, _sandwich
-from lambda_power.labeling import _scattering_count, _twin_predecessors
+from lambda_power.powergraph import bits
 
 
 @st.composite
@@ -404,8 +408,7 @@ def test_quotient_engine_matches_brute_on_twin_blow_ups(graph):
 
 def assert_cover_bounds_below_brute(graph):
     lb, certificate = _cover_lower_bound(graph.adj, graph.full_mask)
-    # the recount reads the complement of the graph it is given
-    recount = _scattering_count(complement(graph), certificate)
+    recount = scattering_count(graph, certificate)
     assert recount <= lb <= brute_path_cover_count(graph)
 
 
@@ -486,6 +489,39 @@ def test_backtrack_matches_brute_given_a_dominating_vertex(graph):
     labeling = lambda_backtrack(graph)
     assert labeling.span == brute_lambda(graph)
     assert check_l21(graph, labeling.labels)
+
+
+def with_dominating_vertex(graph):
+    """The graph with a new vertex 0 joined to every other vertex."""
+    n = graph.n + 1
+    return Graph.from_edges(n, [(u + 1, v + 1) for u, v in graph.edges()]
+                            + [(0, v) for v in range(1, n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=7).map(with_dominating_vertex), st.data())
+def test_certificate_checker_agrees_with_validate_l21(graph, data):
+    n = graph.n
+    labels = data.draw(st.one_of(
+        st.lists(st.integers(0, 2 * n), min_size=n, max_size=n),
+        st.permutations(range(2 * n)).map(lambda labels: labels[:n])))
+    labeling = Labeling(tuple(labels))
+    accepted = check_certificate(graph, labeling, LowerCertificate((), ())) is not None
+    assert accepted == validate_l21(graph, labeling).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=5).map(with_dominating_vertex), st.data())
+def test_certified_bound_is_sound_for_any_cut(graph, data):
+    # any set S and any clique bound the span from below; the package's S
+    # and the heaviest clique are the certificate's choice, not its proof
+    cut = data.draw(st.sets(st.integers(0, graph.n - 1)))
+    best = lambda_backtrack(graph)
+    cert = LowerCertificate(tuple(sorted(cut)), clique_number(graph).witness)
+    assert check_certificate(graph, best, cert) <= best.span == brute_lambda(graph)
+    package_cut = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
+    cert = replace(cert, cut=tuple(bits(package_cut)))
+    assert check_certificate(graph, best, cert) <= best.span
 
 
 @settings(max_examples=80, deadline=None)
