@@ -2,34 +2,30 @@
 
 Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
-Constructors validate every table they hand out, by one check at every
-order: the identity, inverse and Lagrange laws element by element, then
-associativity from a closure tree read off the table. The generators are
-picked greedily, largest element order first, until the identity's closure
-under right multiplication by them reaches every element; no group of order
-n needs more than log2 n of them. Each element but e is first reached as
-xa, so its row must be row x read through row a, and each generator's left
-multiplication must commute with each generator's right multiplication.
-Together these prove every row a permutation and the table associative, in
-n^2 lookups plus n per pair of generators, whatever the number of
-generators. Tables are built a row or a column at a time from slices and
-maps, so their rows share int objects. A product, at any nesting, builds its
-atoms and then its one table from their rows, once its order has passed the
-limit; no partial product is built or validated. A group builds once, on
-first use, one walk per distinct cyclic subgroup, and from those walks its
-maximal cyclic subgroups, its power graph and the poset of its cyclic
-subgroups, whose heaviest chain and widest antichain are the power graph's
-clique and independence numbers.
+Every constructor names its generators, each by its left-multiplication row
+in the constructor's index layout: Z_n its element 1, D_2n and Q_4n their
+x and y, a permutation group the rows its closure finds for its
+permutations, and a product, at any nesting, each atom's rows lifted into
+the mixed-radix layout, with no atom table and no partial product built.
+One builder, `_build`, walks the identity's closure under right
+multiplication by the generators, builds each row once as its parent's row
+read through a generator row, and in the same pass proves the table a
+group's: n^2 lookups plus n per pair of generators. Rows are read out of
+one shared `tuple(range(n))`, so they share its int objects. A group
+builds once, on first use, one walk per distinct cyclic subgroup, and from
+those walks its maximal cyclic subgroups, its power graph and the poset of
+its cyclic subgroups, whose heaviest chain and widest antichain are the
+power graph's clique and independence numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain
 from math import gcd, prod
-from operator import itemgetter, ne
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .invariants import WitnessedValue, _checked_witness, _heaviest_chain, _widest_antichain
@@ -239,126 +235,77 @@ def _orders_and_inverses(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
     return tuple(orders), tuple(inverses)
 
 
-def _validate_table(group: FiniteGroup) -> None:
-    """The group laws element by element, then associativity from the closure
-    tree that reads off a generating set A: every element y but e was first
-    reached as y = xa with x reached before it and a in A.
+def _build(generators: Sequence[Sequence[int]], descriptor: GroupDescriptor) -> FiniteGroup:
+    """The group that the generator rows generate, its table built and proven
+    a group's in one pass of about n^2 + k^2 n lookups for k generators.
 
-    Two checks, about n^2 + |A|^2 n lookups in all:
+    A generator row is the generator's left multiplication in the
+    constructor's index layout: entry z is az, so entry 0 is the generator's
+    index a. Row e is range(n). The identity's closure under right
+    multiplication by the generators is walked once, and each element y = xa
+    first reached gets its row then, as row x read through row a, since
+    (xa)z = x(az). So row y holds y at position e, and every row is a
+    composition of generator rows. The builder then checks:
 
-    - tree rows: row xa is row x read through row a, for every tree edge;
-    - commutation: row a read through column b is column b read through row
-      a, that is a(zb) = (az)b, for all generators a, b and every z.
+    - every generator row is a permutation of range(n), so every row is one
+      (a negative, out-of-range or non-int entry is refused here);
+    - the walk reaches all n elements;
+    - each generator row is the table's row at its index;
+    - left and right multiplication by generators commute: row a read
+      through column b is column b read through row a, that is
+      a(zb) = (az)b, for all generators a, b and every z.
 
-    Why they suffice. The generator rows are permutations and row e is the
-    identity, so by induction along the tree every row is a permutation of
-    range(n), a composition of generator rows; no negative or out-of-range
-    entry survives. Each left multiplication then commutes with each right
-    multiplication by a generator b: (xz)b = x(zb) for all x, z. The set of c
-    with (xz)c = x(zc) for all x, z holds e and every generator, and is closed
-    under products: (xz)(cb) = ((xz)c)b = (x(zc))b = x((zc)b) = x(z(cb)).
-    Every element is a left-nested product of generators, so the table is
-    associative, and with the identity and inverse laws it is a group. Every
-    group table passes both checks.
+    Why they suffice. Every row is a composition of generator rows, so
+    every left multiplication commutes with each right multiplication by a
+    generator b: (xz)b = x(zb) for all x, z. The set of c with
+    (xz)c = x(zc) for all x, z holds e and every generator, and is closed
+    under right multiplication by a generator:
+    (xz)(cb) = ((xz)c)b = (x(zc))b = x((zc)b) = x(z(cb)). The walk reaches
+    every element as a product of generators, so the table is associative;
+    e is a two-sided identity and every row a permutation, so every element
+    has an inverse and the table is a group's. Every group passes. The
+    identity, inverse and Lagrange laws are checked last, against the orders
+    and inverses read off the table.
     """
-    n = group.order
-    table = group.table
+    n = len(generators[0])
+    everyone = set(range(n))
+    for i, row in enumerate(generators):
+        if len(row) != n or set(map(type, row)) != {int} or set(row) != everyone:
+            raise InternalError(f"generator row {i} is not a permutation of range({n})")
+    through = [(row[0], itemgetter(*row)) for row in generators]
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    members = [0]
+    for x in members:  # grows while it is walked
+        row = rows[x]
+        for a, read in through:
+            y = row[a]
+            if rows[y] is None:
+                rows[y] = read(row)
+                members.append(y)
+    if len(members) < n:
+        raise InternalError(f"the generators reach {len(members)} of {n} elements")
+    for i, row in enumerate(generators):
+        if rows[row[0]] != tuple(row):
+            raise InternalError(f"generator row {i} is not row {row[0]} of the table it builds")
+    columns = [(b, tuple(map(itemgetter(b), rows))) for b, _ in through]
+    for a, read in through:
+        row = rows[a]
+        for b, column in columns:
+            if itemgetter(*column)(row) != read(column):
+                z = next(z for z in range(n) if row[column[z]] != column[row[z]])
+                raise InternalError(f"associativity fails at {(a, z, b)}")
+    table = tuple(rows)
+    orders, inverses = _orders_and_inverses(table)
     for x in range(n):
         if table[0][x] != x or table[x][0] != x:
             raise InternalError(f"identity law fails at element {x}")
-        if table[x][group.inverses[x]] != 0:
+        if table[x][inverses[x]] != 0:
             raise InternalError(f"inverse law fails at element {x}")
-        if group.orders[x] < 1 or n % group.orders[x] != 0:
+        if n % orders[x]:
             raise InternalError(f"order of element {x} violates Lagrange")
-    if group.orders[0] != 1:
-        raise InternalError("identity must have order 1")
-    try:
-        columns, edges = _closure_tree(table, group.orders)
-        through_row = {a: itemgetter(*table[a]) for a in columns}
-        through_column = {b: itemgetter(*column) for b, column in columns.items()}
-        if not (all(table[y] == through_row[a](table[x]) for x, a, y in edges)
-                and all(through_column[b](table[a]) == through_row[a](columns[b])
-                        for a in columns for b in columns)):
-            raise InternalError(f"associativity fails at {_first_non_associative(table)}")
-    except (IndexError, TypeError) as exc:
-        raise _bad_entry(exc) from exc
-
-
-def _bad_entry(exc: Exception) -> InternalError:
-    return InternalError(f"Cayley table holds an entry that is not an element index ({exc})")
-
-
-def _generating_set(table: Sequence[Sequence[int]], orders: Sequence[int]) -> list[int]:
-    """The generators of the closure tree that `_validate_table` checks."""
-    return list(_closure_tree(table, orders)[0])
-
-
-def _closure_tree(table: Sequence[Sequence[int]], orders: Sequence[int],
-                  ) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]]:
-    """Generators picked greedily until the identity's closure under right
-    multiplication by them reaches every element: each is the unreached
-    element of largest order, the smallest index on ties.
-
-    Returns each generator's column, in the order picked, and the tree edges
-    (x, a, xa), one for every element but e, each x reached before xa. Each
-    generator row is checked to be a permutation. In a group each new
-    generator at least doubles the closure, so a table that needs more than
-    log2 n generators is refused.
-    """
-    n = len(table)
-    everyone = frozenset(range(n))
-    reached = bytearray(n)
-    reached[0] = 1
-    members = [0]
-    columns: dict[int, tuple[int, ...]] = {}
-    edges: list[tuple[int, int, int]] = []
-    for a in sorted(range(n), key=orders.__getitem__, reverse=True):  # stable on ties
-        if reached[a]:
-            continue
-        if len(columns) == n.bit_length() - 1:
-            raise InternalError(f"Cayley table needs more than {len(columns)} generators, "
-                                f"which no group of order {n} does")
-        if frozenset(table[a]) != everyone:
-            raise InternalError(f"row {a} of the Cayley table is not a permutation")
-        columns[a] = tuple(map(itemgetter(a), table))
-        newest = [(a, columns[a])]
-        closed = len(members)  # the closure so far needs only the new column
-        for i, x in enumerate(members):  # grows while it is walked
-            for b, column in newest if i < closed else columns.items():
-                y = column[x]
-                if not reached[y]:
-                    reached[y] = 1
-                    members.append(y)
-                    edges.append((x, b, y))
-    return columns, edges
-
-
-def _first_non_associative(table: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """The first (a, b, c) with (ab)c != a(bc) in lexicographic order, on a
-    table known to have one: row ab against row b read through row a."""
-    for a in count():
-        row = table[a]
-        composed = (itemgetter(*table_b)(row) for table_b in table)
-        b = next(compress(count(), map(ne, map(table.__getitem__, row), composed)), None)
-        if b is not None:
-            c = next(c for c in count() if table[row[b]][c] != row[table[b][c]])
-            return a, b, c
-
-
-def _finalize(table: tuple[tuple[int, ...], ...], descriptor: GroupDescriptor) -> FiniteGroup:
-    try:
-        orders, inverses = _orders_and_inverses(table)
-    except (IndexError, TypeError) as exc:
-        raise _bad_entry(exc) from exc
-    group = FiniteGroup(
-        order=len(table),
-        table=table,
-        orders=orders,
-        inverses=inverses,
-        descriptor=descriptor,
-    )
-    _validate_table(group)
-    return group
+    return FiniteGroup(order=n, table=table, orders=orders, inverses=inverses,
+                       descriptor=descriptor)
 
 
 def _check_capacity(order: int) -> None:
@@ -368,13 +315,65 @@ def _check_capacity(order: int) -> None:
         )
 
 
+def _generators(descriptor: GroupDescriptor) -> list[tuple[int, ...]]:
+    """The generator rows that `_build` takes for the group a descriptor
+    names, after the checks its constructor makes. Orders are checked
+    against the limit before a row of that length is allocated.
+
+    Z_n is generated by 1, D_2n and Q_4n by x and y, a permutation group by
+    its permutations. A product, at any nesting, lifts each atom's rows into
+    the mixed-radix layout, the first atom's digit most significant, so pair
+    (a, b) of G x H is a * |H| + b: an atom row r at digit stride s sends
+    the s indices with digit d, in each block of the atom's digit, to those
+    with digit r[d]. No atom table and no partial product is built.
+    """
+    family, params = descriptor.family, descriptor.params
+    if family == "product":
+        atoms = [_generators(atom) for atom in _product_atoms(descriptor)]
+        n = prod(len(rows[0]) for rows in atoms)
+        _check_capacity(n)
+        lifted, stride = [], n
+        for rows in atoms:
+            size = len(rows[0])
+            stride //= size
+            lifted += (tuple(chain.from_iterable(
+                range(base + d * stride, base + (d + 1) * stride)
+                for base in range(0, n, size * stride) for d in row))
+                for row in rows if size > 1)  # an order-1 atom moves no index
+        return lifted or [(0,)]
+    if family == "permutation":
+        return _permutation_generators(params)
+    (m,) = params
+    if family == "cyclic":
+        if m < 1:
+            raise ValueError("cyclic group order must be a positive integer")
+        _check_capacity(m)
+        return [tuple(range(1, m)) + (0,)]
+    if family == "dihedral":
+        if m < 6 or m % 2 != 0:
+            raise ValueError("dihedral order must be an even integer >= 6")
+        _check_capacity(m)
+        return _index_two_generators(m // 2, 0)
+    if m < 8 or m % 4 != 0:
+        raise ValueError("generalized quaternion order must be a multiple of 4, at least 8")
+    _check_capacity(m)
+    return _index_two_generators(m // 2, m // 4)
+
+
+def _index_two_generators(n: int, shift: int) -> list[tuple[int, ...]]:
+    """The rows of x and y, with x^i at index i and x^i*y at n + i, x^n = e,
+    y x y^-1 = x^-1 and y^2 = x^shift: x * x^j (y) = x^(j+1) (y), y * x^j =
+    x^-j y and y * x^j y = x^(shift-j)."""
+    step = tuple(range(1, n)) + (0,)
+    x = step + tuple(n + i for i in step)
+    y = tuple(n + (-j) % n for j in range(n)) + tuple((shift - j) % n for j in range(n))
+    return [x, y]
+
+
 def make_cyclic(n: int) -> FiniteGroup:
-    """Additive group on {0..n-1}; element k has order n // gcd(n, k)."""
-    if n < 1:
-        raise ValueError("cyclic group order must be a positive integer")
-    _check_capacity(n)
-    twice = tuple(range(n)) * 2
-    return _finalize(tuple(twice[a:a + n] for a in range(n)), GroupDescriptor.atom("cyclic", n))
+    """Additive group on {0..n-1}, generated by 1; element k has order n // gcd(n, k)."""
+    descriptor = GroupDescriptor.atom("cyclic", n)
+    return _build(_generators(descriptor), descriptor)
 
 
 def make_dihedral(m: int) -> FiniteGroup:
@@ -383,10 +382,8 @@ def make_dihedral(m: int) -> FiniteGroup:
     Index layout: rotations a^i at indices 0..k-1, reflections a^i*b at
     indices k..2k-1. The defining relations are a^k = b^2 = e and bab = a^-1.
     """
-    if m < 6 or m % 2 != 0:
-        raise ValueError("dihedral order must be an even integer >= 6")
-    _check_capacity(m)
-    return _finalize(_index_two_table(m // 2, 0), GroupDescriptor.atom("dihedral", m))
+    descriptor = GroupDescriptor.atom("dihedral", m)
+    return _build(_generators(descriptor), descriptor)
 
 
 def make_generalized_quaternion(m: int) -> FiniteGroup:
@@ -396,71 +393,14 @@ def make_generalized_quaternion(m: int) -> FiniteGroup:
     relations are x^k = y^2, x^(2k) = e and y^-1*x*y = x^-1; x^k is the
     unique involution and every element outside <x> has order 4.
     """
-    if m < 8 or m % 4 != 0:
-        raise ValueError("generalized quaternion order must be a multiple of 4, at least 8")
-    _check_capacity(m)
-    return _finalize(_index_two_table(m // 2, m // 4), GroupDescriptor.atom("quaternion", m))
-
-
-def _index_two_table(n: int, shift: int) -> tuple[tuple[int, ...], ...]:
-    """x^i at index i and x^i*y at n + i, with x^n = e, y x y^-1 = x^-1 and y^2 = x^shift.
-
-    Rows are slices: x^i * x^j (y) = x^(i+j) (y); reversed, x^i y * x^j (y) = x^(i-j) y (x^shift).
-    """
-    powers, coset = tuple(range(n)) * 2, tuple(range(n, 2 * n)) * 2
-    forward = [powers[i:i + n] + coset[i:i + n] for i in range(n)]
-    reflected = [coset[i + n:i:-1] + powers[(i + shift) % n + n:(i + shift) % n:-1]
-                 for i in range(n)]
-    return tuple(forward + reflected)
+    descriptor = GroupDescriptor.atom("quaternion", m)
+    return _build(_generators(descriptor), descriptor)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; pair (a, b) is encoded as a * |h| + b."""
-    return _product((g, h), GroupDescriptor.product(g.descriptor, h.descriptor))
-
-
-def _product(factors: Sequence[FiniteGroup], descriptor: GroupDescriptor) -> FiniteGroup:
-    """One table for the product of all factors, checked against the order
-    limit before it is allocated."""
-    _check_capacity(prod(g.order for g in factors))
-    return _finalize(_product_table([g.table for g in factors]), descriptor)
-
-
-_Rows = Iterable[tuple[int, tuple[int, ...]]]  # (index, row) pairs in any order
-
-
-def _product_table(tables: Sequence[Sequence[tuple[int, ...]]]) -> tuple[tuple[int, ...], ...]:
-    """The left fold of (a1, b1)(a2, b2) = a1a2 * |h| + b1b2 over the tables:
-    element indices are mixed-radix, the first factor's digit most significant.
-
-    Rows are built from the last factor out. Row (d, s) of a suffix product
-    is, for each entry e of its first factor's row d, block e of the shared
-    ints read through row s of the shorter suffix. Each suffix row is built
-    once, used for every d and dropped; no suffix table is kept.
-    """
-    tables = [t for t in tables if len(t) > 1] or [((0,),)]  # order 1 moves no index
-    *heads, last = tables
-    ints = tuple(range(prod(map(len, tables))))
-    rows: _Rows = ((s, tuple(map(ints.__getitem__, row))) for s, row in enumerate(last))
-    span = len(last)
-    for table in reversed(heads):
-        rows = _lead_rows(rows, table, [ints[e * span:(e + 1) * span] for e in range(len(table))])
-        span *= len(table)
-    product_table: list[tuple[int, ...]] = [()] * span
-    for x, row in rows:
-        product_table[x] = row
-    return tuple(product_table)
-
-
-def _lead_rows(rows: _Rows, table: Sequence[tuple[int, ...]],
-               blocks: list[tuple[int, ...]]) -> _Rows:
-    """The rows of table's group times a suffix product, from the suffix
-    product's rows; blocks[e] holds the ints of the indices with leading digit e."""
-    span = len(blocks[0])
-    for s, row in rows:
-        chunks = list(map(itemgetter(*row), blocks))  # suffix rows have at least two entries
-        for d, lead in enumerate(table):
-            yield d * span + s, tuple(chain.from_iterable(map(chunks.__getitem__, lead)))
+    """Componentwise product; pair (a, b) is encoded as a * |h| + b. Built
+    from the factors' descriptors, like the product spec of the two."""
+    return from_descriptor(GroupDescriptor.product(g.descriptor, h.descriptor))
 
 
 def permutation_from_cycles(cycles: Sequence[Sequence[int]],
@@ -520,15 +460,19 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
     the generators in the order given, so indexing is deterministic.
     """
     descriptor = GroupDescriptor.permutation(generators, alias)
-    domain = len(descriptor.params[0]) if descriptor.params else 1
-    gens = [tuple(v - 1 for v in images) for images in descriptor.params]  # 0-based
+    return _build(_generators(descriptor), descriptor)
 
-    identity = tuple(range(domain))
+
+def _permutation_generators(images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each generator's left-multiplication row over the closure of the
+    1-based images, enumerated breadth-first from the identity. The product
+    p * q maps i to p[q[i]], so element x's row holds the index of x * z."""
+    gens = [tuple(v - 1 for v in p) for p in images]  # 0-based
+    identity = tuple(range(len(images[0]) if images else 1))
     elements = [identity]
     index = {identity: 0}
-    found_by = []  # (parent, k) of element 1, 2, ...: element = parent * gens[k]
-    for pos, current in enumerate(elements):  # grows while it is walked
-        for k, gen in enumerate(gens):
+    for current in elements:  # grows while it is walked
+        for gen in gens:
             composed = tuple(map(current.__getitem__, gen))
             if composed not in index:
                 if len(elements) >= DEFAULT_MAX_ORDER:
@@ -537,28 +481,17 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
                     )
                 index[composed] = len(elements)
                 elements.append(composed)
-                found_by.append((pos, k))
-
-    # (p * g) * z = p * (g * z): row j is row parent(j) read through the row
-    # of its generator, g's left multiplication.
-    through = []
-    for gen in gens:
-        left = [index[tuple(map(gen.__getitem__, z))] for z in elements]
-        through.append(itemgetter(*left))
-    rows = [tuple(range(len(elements)))]
-    for parent, k in found_by:
-        rows.append(through[k](rows[parent]))
-    return _finalize(tuple(rows), descriptor)
+    return [tuple([index[tuple(map(gen.__getitem__, z))] for z in elements])
+            for gen in gens] or [(0,)]
 
 
 def from_descriptor(descriptor: GroupDescriptor) -> FiniteGroup:
     """Build the group a descriptor names; its descriptor equals the input.
 
-    A product at any nesting builds its atoms, then its one table from their
-    rows: no partial product is built or validated."""
+    A product at any nesting is built once, from its atoms' generator rows."""
     family, params = descriptor.family, descriptor.params
     if family == "product":
-        return _product([from_descriptor(a) for a in _product_atoms(descriptor)], descriptor)
+        return _build(_generators(descriptor), descriptor)
     if family == "permutation":
         return from_permutations(params, alias=descriptor.name)
     make = {"cyclic": make_cyclic, "dihedral": make_dihedral,

@@ -5,7 +5,8 @@ search takes graphs of diameter at most 2, as every power graph is.
 Vertices are 0-based; adjacency row v is an int whose bit u says u and v are
 adjacent, so neighborhood intersections are single ANDs. A group builds its
 power graph once; ``build_power_graph`` hands it out. Every construction
-checks its rows, symmetry against their transpose (about n log n big-int ops).
+from outside rows checks them, symmetry against their transpose (about
+n log n big-int ops); a complement, built from checked rows, needs no check.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class Graph:
 
     Every construction checks the rows: below n, loop-free, and symmetric, by
     their transpose; the first bad (v, u) is the lowest u of row v not in column v.
+    Only the complement, whose rows pass by construction, skips the check.
     """
 
     adj: tuple[int, ...]
@@ -108,10 +110,21 @@ class Graph:
 
     @cached_property
     def complement(self) -> Graph:
-        """Same vertices, edges exactly where this graph has none; built once."""
+        """Same vertices, edges exactly where this graph has none; built once.
+
+        This graph's rows passed the check, so the complement's pass it too:
+        ``full & ~row`` stays below n, dropping bit v keeps it loop-free, and
+        u is in row v iff u != v and v is not in row u, which is symmetric
+        because this graph's rows are. So the check is not run again."""
         full = self.full_mask
-        rows = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(self.adj))
-        return Graph(rows)
+        return Graph._trusted(tuple(full & ~row & ~(1 << v) for v, row in enumerate(self.adj)))
+
+    @classmethod
+    def _trusted(cls, adj: tuple[int, ...]) -> Graph:
+        """A graph on rows already known to pass the construction check."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "adj", adj)
+        return graph
 
     @cached_property
     def distance_two(self) -> tuple[int, ...]:

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import combinations
+from itertools import combinations, compress, count
+from operator import itemgetter, ne
 
 from lambda_power.errors import CapacityExceeded, InternalError
+from lambda_power.groups import FiniteGroup
 from lambda_power.invariants import WitnessedValue, _cover_lower_bound
 from lambda_power.labeling import Labeling
 from lambda_power.powergraph import Graph, bits
@@ -264,6 +266,151 @@ def is_group_table(table, inverses) -> bool:
                 for x in indices)
             and all(table[table[a][b]][c] == table[a][table[b][c]]
                     for a in indices for b in indices for c in indices))
+
+
+def validated_group(table, descriptor) -> FiniteGroup:
+    """A group on a raw table, refused by ``validate_table`` unless it is a
+    group's. Orders and inverses come from one power walk per element,
+    stopped after n + 1 terms; an entry that is not an element index raises
+    ``InternalError``."""
+    n = len(table)
+    orders, inverses = [], []
+    try:
+        for x in range(n):
+            powers = [x]
+            while powers[-1] and len(powers) <= n:
+                powers.append(table[powers[-1]][x])
+            orders.append(len(powers))
+            inverses.append(powers[-2] if len(powers) > 1 else 0)
+    except (IndexError, TypeError) as exc:
+        raise _bad_entry(exc) from exc
+    group = FiniteGroup(order=n, table=table, orders=tuple(orders), inverses=tuple(inverses),
+                        descriptor=descriptor)
+    validate_table(group)
+    return group
+
+
+def validate_table(group: FiniteGroup) -> None:
+    """The group laws element by element, then associativity from the closure
+    tree that reads off a generating set A: every element y but e was first
+    reached as y = xa with x reached before it and a in A.
+
+    Two checks, about n^2 + |A|^2 n lookups in all:
+
+    - tree rows: row xa is row x read through row a, for every tree edge;
+    - commutation: row a read through column b is column b read through row
+      a, that is a(zb) = (az)b, for all generators a, b and every z.
+
+    Why they suffice. The generator rows are permutations and row e is the
+    identity, so by induction along the tree every row is a permutation of
+    range(n), a composition of generator rows; no negative or out-of-range
+    entry survives. Each left multiplication then commutes with each right
+    multiplication by a generator b: (xz)b = x(zb) for all x, z. The set of c
+    with (xz)c = x(zc) for all x, z holds e and every generator, and is closed
+    under products: (xz)(cb) = ((xz)c)b = (x(zc))b = x((zc)b) = x(z(cb)).
+    Every element is a left-nested product of generators, so the table is
+    associative, and with the identity and inverse laws it is a group. Every
+    group table passes both checks.
+    """
+    n = group.order
+    table = group.table
+    for x in range(n):
+        if table[0][x] != x or table[x][0] != x:
+            raise InternalError(f"identity law fails at element {x}")
+        if table[x][group.inverses[x]] != 0:
+            raise InternalError(f"inverse law fails at element {x}")
+        if group.orders[x] < 1 or n % group.orders[x] != 0:
+            raise InternalError(f"order of element {x} violates Lagrange")
+    if group.orders[0] != 1:
+        raise InternalError("identity must have order 1")
+    try:
+        columns, edges = closure_tree(table, group.orders)
+        through_row = {a: itemgetter(*table[a]) for a in columns}
+        through_column = {b: itemgetter(*column) for b, column in columns.items()}
+        if not (all(table[y] == through_row[a](table[x]) for x, a, y in edges)
+                and all(through_column[b](table[a]) == through_row[a](columns[b])
+                        for a in columns for b in columns)):
+            raise InternalError(f"associativity fails at {first_non_associative(table)}")
+    except (IndexError, TypeError) as exc:
+        raise _bad_entry(exc) from exc
+
+
+def _bad_entry(exc: Exception) -> InternalError:
+    return InternalError(f"Cayley table holds an entry that is not an element index ({exc})")
+
+
+def generating_set(table, orders) -> list[int]:
+    """The generators of the closure tree that ``validate_table`` checks."""
+    return list(closure_tree(table, orders)[0])
+
+
+def closure_tree(table, orders) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]]:
+    """Generators picked greedily until the identity's closure under right
+    multiplication by them reaches every element: each is the unreached
+    element of largest order, the smallest index on ties.
+
+    Returns each generator's column, in the order picked, and the tree edges
+    (x, a, xa), one for every element but e, each x reached before xa. Each
+    generator row is checked to be a permutation. In a group each new
+    generator at least doubles the closure, so a table that needs more than
+    log2 n generators is refused.
+    """
+    n = len(table)
+    everyone = frozenset(range(n))
+    reached = bytearray(n)
+    reached[0] = 1
+    members = [0]
+    columns: dict[int, tuple[int, ...]] = {}
+    edges: list[tuple[int, int, int]] = []
+    for a in sorted(range(n), key=orders.__getitem__, reverse=True):  # stable on ties
+        if reached[a]:
+            continue
+        if len(columns) == n.bit_length() - 1:
+            raise InternalError(f"Cayley table needs more than {len(columns)} generators, "
+                                f"which no group of order {n} does")
+        if frozenset(table[a]) != everyone:
+            raise InternalError(f"row {a} of the Cayley table is not a permutation")
+        columns[a] = tuple(map(itemgetter(a), table))
+        newest = [(a, columns[a])]
+        closed = len(members)  # the closure so far needs only the new column
+        for i, x in enumerate(members):  # grows while it is walked
+            for b, column in newest if i < closed else columns.items():
+                y = column[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    members.append(y)
+                    edges.append((x, b, y))
+    return columns, edges
+
+
+def first_non_associative(table) -> tuple[int, int, int]:
+    """The first (a, b, c) with (ab)c != a(bc) in lexicographic order, on a
+    table known to have one: row ab against row b read through row a."""
+    for a in count():
+        row = table[a]
+        composed = (itemgetter(*table_b)(row) for table_b in table)
+        b = next(compress(count(), map(ne, map(table.__getitem__, row), composed)), None)
+        if b is not None:
+            c = next(c for c in count() if table[row[b]][c] != row[table[b][c]])
+            return a, b, c
+
+
+def closure_table(generators) -> list[list[int]]:
+    """The table that the closure of the identity under right multiplication
+    by the given left-multiplication rows spans, entry by entry: row xa is
+    (x(az) for every z). Rows never reached stay None."""
+    n = len(generators[0])
+    rows = [None] * n
+    rows[0] = list(range(n))
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for gen in generators:
+            y = rows[x][gen[0]]
+            if rows[y] is None:
+                rows[y] = [rows[x][gen[z]] for z in range(n)]
+                queue.append(y)
+    return rows
 
 
 def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:

@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import composed_permutation_table
+from oracles import (
+    closure_table,
+    closure_tree,
+    composed_permutation_table,
+    generating_set,
+    validate_table,
+    validated_group,
+)
 
 from lambda_power import (
     CapacityExceeded,
@@ -25,11 +32,7 @@ from lambda_power import groups
 from lambda_power.cli import builtin_corpus, group_from_text, parse_group_spec
 from lambda_power.groups import (
     GroupDescriptor,
-    _closure_tree,
-    _finalize,
-    _generating_set,
     _orders_and_inverses,
-    _validate_table,
     from_descriptor,
 )
 
@@ -134,26 +137,30 @@ def test_product_capacity():
         direct_product(make_cyclic(200), make_cyclic(200))
 
 
+def recording_builds(monkeypatch) -> list:
+    """Record the descriptor name of every table built from now on."""
+    built, build = [], groups._build
+
+    def recording(generators, descriptor):
+        built.append(descriptor.name)
+        return build(generators, descriptor)
+
+    monkeypatch.setattr(groups, "_build", recording)
+    return built
+
+
 def test_oversized_product_is_refused_before_any_product_table(monkeypatch):
-    built = []
-
-    def recording_finalize(table, descriptor):
-        built.append(len(table))
-        return _finalize(table, descriptor)
-
+    built = recording_builds(monkeypatch)
     monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 50)
-    monkeypatch.setattr(groups, "_finalize", recording_finalize)
     with pytest.raises(CapacityExceeded, match="group order 72 exceeds the configured maximum 50"):
         from_descriptor(parse_group_spec("Z6xZ6xZ2"))
-    assert built == [6, 6, 2]  # the atoms only; Z6xZ6 (order 36) is never built
+    assert built == []  # no atom table and no partial product either
 
 
 def test_product_spec_validates_one_table_per_group(monkeypatch):
-    checked = []
-    monkeypatch.setattr(groups, "_validate_table",
-                        lambda group: checked.append(group.descriptor.name))
+    built = recording_builds(monkeypatch)
     group = from_descriptor(parse_group_spec("Z2xZ3xZ2"))
-    assert checked == ["Z2", "Z3", "Z2", "Z2xZ3xZ2"]
+    assert built == ["Z2xZ3xZ2"]
     assert group.descriptor == parse_group_spec("Z2xZ3xZ2")
 
 
@@ -325,12 +332,12 @@ def test_a5_table_matches_composition():
 def test_table_whose_powers_never_reach_the_identity_is_refused():
     # x * x = x: the power walk stops after n + 1 terms and validation fails.
     with pytest.raises(InternalError):
-        _finalize(((0, 1), (1, 1)), GroupDescriptor.atom("cyclic", 2))
+        validated_group(((0, 1), (1, 1)), GroupDescriptor.atom("cyclic", 2))
 
 
 def broken(group, **changes):
     """The group with some fields replaced, validated as if freshly built."""
-    _validate_table(replace(group, **changes))
+    validate_table(replace(group, **changes))
 
 
 def with_row(table, x, row):
@@ -400,7 +407,7 @@ def test_a_swap_in_a_non_generator_row_of_d1024_is_refused():
     # and Lagrange laws and breaks 8,176 of the 1024^3 triples, so 10,000
     # random triples would all miss them with probability about 0.93.
     d1024 = make_dihedral(1024)
-    assert 3 not in _generating_set(d1024.table, d1024.orders)
+    assert 3 not in generating_set(d1024.table, d1024.orders)
     row = list(d1024.table[3])
     row[5], row[600] = row[600], row[5]
     table = with_row(d1024.table, 3, row)
@@ -417,7 +424,7 @@ def test_light_test_runs_on_every_generator():
     # (x1)y = x(1y) still holds for all x and y, so only the later generators
     # 2 and 4 expose the table.
     z2_3 = from_descriptor(parse_group_spec("Z2xZ2xZ2"))
-    assert _generating_set(z2_3.table, z2_3.orders) == [1, 2, 4]
+    assert generating_set(z2_3.table, z2_3.orders) == [1, 2, 4]
     table = with_row(z2_3.table, 6, (6, 7, 3, 5, 2, 4, 0, 1))
     table = with_row(table, 7, (7, 6, 5, 3, 4, 2, 1, 0))
     assert all(table[table[x][1]][y] == table[x][table[1][y]] for x in range(8) for y in range(8))
@@ -432,7 +439,7 @@ def test_only_generator_commutation_refuses_this_table():
     table = ((0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 3, 5), (2, 0, 1, 3, 4, 5),
              (3, 2, 4, 0, 5, 1), (4, 1, 3, 2, 5, 0), (5, 1, 2, 3, 0, 4))
     orders, inverses = _orders_and_inverses(table)
-    columns, edges = _closure_tree(table, orders)
+    columns, edges = closure_tree(table, orders)
     assert list(columns) == [1, 4]
     assert all(table[y] == tuple(table[x][z] for z in table[a]) for x, a, y in edges)
     z6 = make_cyclic(6)
@@ -457,9 +464,9 @@ def test_validation_reads_a_bounded_number_of_rows_per_element(spec):
     # and generator pair. Light's test read n more rows for each of the k
     # generators: 12n for Z2^9, where 5n + k^2 + 2k stays under 6n.
     group = group_from_text(spec)
-    n, k = group.order, len(_generating_set(group.table, group.orders))
+    n, k = group.order, len(generating_set(group.table, group.orders))
     table = CountingTable(group.table)
-    _validate_table(replace(group, table=table))
+    validate_table(replace(group, table=table))
     assert table.reads <= 5 * n + k * k + 2 * k < 6 * n
 
 
@@ -467,14 +474,14 @@ def test_validation_reads_a_bounded_number_of_rows_per_element(spec):
 @pytest.mark.parametrize("entry", [6, -1, 4, None])  # out of range, negative, repeated, no int
 def test_a_bad_entry_in_a_non_generator_row_is_refused(entry, column):
     z6 = make_cyclic(6)
-    assert _generating_set(z6.table, z6.orders) == [1]
+    assert generating_set(z6.table, z6.orders) == [1]
     row = list(z6.table[2])  # (2, 3, 4, 5, 0, 1): columns 0 and 4 hold the laws
     row[column] = entry
     table = with_row(z6.table, 2, row)
     with pytest.raises(InternalError):
         broken(z6, table=table)
     with pytest.raises(InternalError):
-        _finalize(table, z6.descriptor)
+        validated_group(table, z6.descriptor)
 
 
 @pytest.mark.parametrize("spec, count", [
@@ -484,7 +491,7 @@ def test_a_bad_entry_in_a_non_generator_row_is_refused(entry, column):
 ])
 def test_greedy_generating_set_sizes(spec, count):
     group = group_from_text(spec)
-    assert len(_generating_set(group.table, group.orders)) == count
+    assert len(generating_set(group.table, group.orders)) == count
 
 
 # the specs of the benchmark's pinned-large workload
@@ -495,7 +502,58 @@ PINNED_LARGE = ("D512", "D1024", "Q512", "Q1024", "Z729", "x".join(["Z2"] * 9),
 def test_greedy_generating_set_needs_at_most_log2_n_generators():
     groups_checked = builtin_corpus(48) + [(spec, group_from_text(spec)) for spec in PINNED_LARGE]
     for spec, group in groups_checked:
-        assert len(_generating_set(group.table, group.orders)) <= group.order.bit_length() - 1, spec
+        assert len(generating_set(group.table, group.orders)) <= group.order.bit_length() - 1, spec
+
+
+def test_every_built_table_passes_the_reference_validator():
+    for spec, group in builtin_corpus(100) + [(s, group_from_text(s)) for s in PINNED_LARGE]:
+        validate_table(group)
+
+
+Z6_STEP = (1, 2, 3, 4, 5, 0)  # the row of Z6's generator 1
+
+
+def build_z6(*generators):
+    return groups._build(generators, GroupDescriptor.atom("cyclic", 6))
+
+
+@pytest.mark.parametrize("row", [
+    (1, 2, 3, 4, 5, 6),  # out of range
+    (1, 2, 3, 4, 5, -1),  # negative
+    (1, 2, 3, 4, 5, 1),  # repeated
+    (1, 2, 3, 4, 5, None),  # no int
+    (1, 2, 3, 4, 5, 0.0),  # no int, though equal to one
+    (True, 2, 3, 4, 5, 0),  # no int, though equal to one
+    (1, 2, 3, 4, 5),  # too short
+], ids=["out-of-range", "negative", "repeated", "none", "float", "bool", "short"])
+def test_builder_refuses_a_generator_row_that_is_not_a_permutation(row):
+    with pytest.raises(InternalError,
+                       match=re.escape("generator row 1 is not a permutation of range(6)") + "$"):
+        build_z6(Z6_STEP, row)
+
+
+def test_builder_refuses_generators_that_reach_too_few_elements():
+    with pytest.raises(InternalError, match="^the generators reach 3 of 6 elements$"):
+        build_z6((2, 3, 4, 5, 0, 1))  # element 2 generates {0, 2, 4}
+
+
+def test_builder_refuses_a_generator_row_that_is_not_its_table_row():
+    # Entry 0 names the identity, whose row is range(6), not this swap.
+    with pytest.raises(InternalError, match="^generator row 1 is not row 0 of the table it builds$"):
+        build_z6(Z6_STEP, (0, 2, 1, 3, 4, 5))
+
+
+def test_builder_refuses_generators_that_do_not_commute():
+    # Two permutations that reach all six elements, each the row at its own
+    # index of the table they span; but their left and right multiplications
+    # do not commute, so that table is no group's.
+    generators = [(1, 2, 0, 4, 3, 5), (4, 1, 3, 2, 5, 0)]
+    table = closure_table(generators)
+    assert None not in table and all(table[g[0]] == list(g) for g in generators)
+    with pytest.raises(InternalError, match=r"^associativity fails at \(\d+, \d+, \d+\)$") as info:
+        build_z6(*generators)
+    a, z, b = map(int, re.findall(r"\d+", str(info.value)))
+    assert table[a][table[z][b]] != table[table[a][z]][b]
 
 
 def test_a_table_that_needs_too_many_generators_is_refused():

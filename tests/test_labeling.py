@@ -660,13 +660,18 @@ def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(labeling_module, name, counted)
-    check = Graph.__post_init__
+    check, trusted = Graph.__post_init__, Graph._trusted.__func__
 
     def constructed(graph):
         calls["Graph"] += 1
         check(graph)
 
+    def constructed_trusted(cls, adj):  # the complement skips the check
+        calls["Graph"] += 1
+        return trusted(cls, adj)
+
     monkeypatch.setattr(Graph, "__post_init__", constructed)
+    monkeypatch.setattr(Graph, "_trusted", classmethod(constructed_trusted))
     report = lambda_exact(group)
     assert report.method == "ledger" and report.labeling is not None
     assert calls == {"Graph": 2, "validate_l21": 1}

@@ -28,15 +28,21 @@ def pg(group):
 
 
 def count_graph_builds(monkeypatch) -> list:
-    """Record every ``Graph`` constructed from now on."""
+    """Record every ``Graph`` constructed from now on, checked or not (a
+    complement skips the check)."""
     built = []
-    check = Graph.__post_init__
+    check, trusted = Graph.__post_init__, Graph._trusted.__func__
 
     def counting(self):
         built.append(self)
         check(self)
 
+    def counting_trusted(cls, adj):
+        built.append(trusted(cls, adj))
+        return built[-1]
+
     monkeypatch.setattr(Graph, "__post_init__", counting)
+    monkeypatch.setattr(Graph, "_trusted", classmethod(counting_trusted))
     return built
 
 

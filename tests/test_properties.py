@@ -15,6 +15,7 @@ from oracles import (
     brute_lambda,
     brute_max_clique,
     brute_path_cover_count,
+    closure_table,
     _twin_predecessors,
     check_l21,
     clique_number,
@@ -28,6 +29,7 @@ from oracles import (
     reference_row_check,
     reference_violations,
     scattering_count,
+    validate_table,
 )
 
 from lambda_power import (
@@ -50,8 +52,8 @@ from lambda_power import (
 from lambda_power.cli import builtin_corpus
 from lambda_power.groups import (
     GroupDescriptor,
+    _build,
     _orders_and_inverses,
-    _validate_table,
     from_descriptor,
     from_permutations,
 )
@@ -76,6 +78,14 @@ def test_complement_involution_and_edge_split(graph):
     assert complement(comp).adj == graph.adj
     n = graph.n
     assert graph.edge_count() + comp.edge_count() == n * (n - 1) // 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_complement_passes_the_construction_check_it_skips(graph):
+    comp = complement(graph)
+    assert Graph(comp.adj) == comp  # the full check accepts the unchecked rows
+    assert complement(comp) == graph
 
 
 @settings(max_examples=120, deadline=None)
@@ -232,10 +242,43 @@ def mutated_group_tables(draw):
 @given(mutated_group_tables())
 def test_validation_accepts_exactly_the_group_tables(group):
     if is_group_table(group.table, group.inverses):
-        _validate_table(group)
+        validate_table(group)
     else:
         with pytest.raises(InternalError):
-            _validate_table(group)
+            validate_table(group)
+
+
+@st.composite
+def generator_rows(draw):
+    """One to three left-multiplication rows for the builder: random
+    permutations of range(n) for n <= 6, or rows of a relabelled group, one
+    of them perhaps with two entries swapped."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=6))
+        return draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    _, table, _, _ = draw(relabelled_group_tables())
+    indices = st.integers(min_value=0, max_value=len(table) - 1)
+    rows = [list(table[x]) for x in draw(st.lists(indices, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        j, k = draw(indices), draw(indices)
+        rows[0][j], rows[0][k] = rows[0][k], rows[0][j]
+    return list(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_rows())
+def test_builder_accepts_exactly_the_rows_that_generate_a_group(generators):
+    table = closure_table(generators)
+    generates = (None not in table and all(table[g[0]] == list(g) for g in generators)
+                 and is_group_table(table, [row.index(0) for row in table]))
+    descriptor = GroupDescriptor.atom("cyclic", len(table))
+    if generates:
+        group = _build(generators, descriptor)
+        assert group.table == tuple(map(tuple, table))
+        validate_table(group)
+    else:
+        with pytest.raises(InternalError):
+            _build(generators, descriptor)
 
 
 @st.composite
@@ -261,10 +304,10 @@ def paired_swap_tables(draw):
 @given(paired_swap_tables())
 def test_validation_accepts_exactly_the_group_tables_after_paired_row_swaps(group):
     if is_group_table(group.table, group.inverses):
-        _validate_table(group)
+        validate_table(group)
     else:
         with pytest.raises(InternalError):
-            _validate_table(group)
+            validate_table(group)
 
 
 PRODUCT_ATOMS = ([GroupDescriptor.atom("cyclic", n) for n in range(1, 13)]
@@ -301,6 +344,28 @@ def test_product_tables_match_the_pairwise_reference(atoms):
 
 def product_of(atoms):
     return from_descriptor(reduce(GroupDescriptor.product, atoms))
+
+
+@st.composite
+def permutation_products(draw):
+    """A permutation group times a Z/D/Q atom, in either order, with at most
+    240 elements."""
+    perm = draw(permutation_groups())
+    atom = draw(st.sampled_from([a for a in PRODUCT_ATOMS if perm.order * a.params[0] <= 240]))
+    pair = [perm.descriptor, atom]
+    if draw(st.booleans()):
+        pair.reverse()
+    return from_descriptor(GroupDescriptor.product(*pair))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(product_atoms(max_order=48).map(product_of), permutation_groups(),
+                 permutation_products()))
+def test_built_tables_pass_the_reference_validator(group):
+    validate_table(group)
+    if group.descriptor.family == "product":
+        left, right = map(from_descriptor, group.descriptor.params)
+        assert group.table == pair_product_table(left.table, right.table)
 
 
 @settings(max_examples=80, deadline=None)
