@@ -1,29 +1,26 @@
-"""Finite groups as dense Cayley tables with 0-based element indices.
+"""Finite groups on 0-based element indices, proven from their generators.
 
 Element 0 is always the identity; every other module in the package talks
 about group elements through these indices, which double as graph vertices.
-Every constructor names its generators, each by its left-multiplication row
-in the constructor's index layout: Z_n its element 1, D_2n and Q_4n their
-x and y, a permutation group the rows its closure finds for its
-permutations, and a product, at any nesting, each atom's rows lifted into
-the mixed-radix layout, with no atom table and no partial product built.
-One builder, `_build`, walks the identity's closure under right
-multiplication by the generators, builds each row once as its parent's row
-read through a generator row, and in the same pass proves the table a
-group's: n^2 lookups plus n per pair of generators. Rows are read out of
-one shared `tuple(range(n))`, so they share its int objects. A group
-builds once, on first use, one walk per distinct cyclic subgroup, and from
-those walks its maximal cyclic subgroups, its power graph and the poset of
-its cyclic subgroups, whose heaviest chain and widest antichain are the
-power graph's clique and independence numbers.
+Every constructor names its generators by their left-multiplication rows in
+its index layout: Z_n its element 1, D_2n and Q_4n their x and y, a
+permutation group the rows its closure finds for its permutations, and a
+product, at any nesting, each atom's rows lifted into the mixed-radix
+layout. One builder, `_build`, proves from the k rows alone, in about k^2 n
+steps, that they generate a group acting regularly on the indices, and
+reads off a tree that spells each element as a word of right
+multiplications. One power walk per distinct cyclic subgroup, through those
+words, gives the orders, the maximal cyclic subgroups, the power graph and
+the poset whose heaviest chain and widest antichain are its clique and
+independence numbers. The n^2 Cayley table is built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -86,6 +83,7 @@ class GroupDescriptor:
 
 
 _ATOM_PREFIX = {"cyclic": "Z", "dihedral": "D", "quaternion": "Q"}
+_Tree = tuple[list[int], list[tuple[int, ...]]]  # per element: its tree parent p and R_a, x = ap
 
 
 class _CyclicSubgroups(NamedTuple):
@@ -101,64 +99,43 @@ class _CyclicSubgroups(NamedTuple):
     generators: list[int]  # per subgroup: its generators
     above: list[int]  # per subgroup: the generators of every cyclic subgroup containing it
     inside: list[int]  # per subgroup: the subgroups strictly inside it
+    orders: tuple[int, ...]  # per element x: the order of x
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Immutable Cayley-table group.
-
-    ``table[a][b]`` is the index of the product a*b, ``orders[x]`` the
-    multiplicative order of x and ``inverses[x]`` its inverse. The identity
-    is element 0 by construction.
-    """
+    """Immutable group on the indices 0..n-1, identity 0 by construction:
+    ``orders[x]`` is the order of x, ``inverses[x]`` its inverse, ``mul(a, b)``
+    the index of a*b, read through b's word, and ``table[a][b]`` the same from
+    the n^2 Cayley table, built only on first use."""
 
     order: int
-    table: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
     inverses: tuple[int, ...]
     descriptor: GroupDescriptor
+    _generators: Sequence[tuple[int, ...]] = field(repr=False, compare=False)
+    _tree: _Tree = field(repr=False, compare=False)
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return _times(self._tree, a, b)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return self._cyclic_subgroups.orders
 
     @cached_property
     def _cyclic_subgroups(self) -> _CyclicSubgroups:
-        """Each distinct <x> walked once; <g> of order o contains exactly the
-        <g^d> with d | o, read off the walk at the divisor positions."""
-        table = self.table
-        number = [-1] * self.order
-        walks, masks, generators = [], [], []
-        for x in range(self.order):
-            if number[x] >= 0:
-                continue
-            powers = [x]  # x, x^2, ..., x^o = e
-            while powers[-1]:
-                powers.append(table[powers[-1]][x])
-            o = len(powers)
-            mask = 0
-            for k, y in enumerate(powers, 1):
-                if gcd(k, o) == 1:
-                    number[y] = len(walks)
-                    mask |= 1 << y
-            generators.append(mask)
-            masks.append(sum(1 << y for y in powers))
-            walks.append(powers)
-        above = [0] * len(walks)
-        inside = [0] * len(walks)
-        for i, (powers, mask) in enumerate(zip(walks, generators)):
-            for d in range(1, len(powers) + 1):
-                if len(powers) % d == 0:
-                    j = number[powers[d - 1]]
-                    above[j] |= mask
-                    inside[i] |= 1 << j
-            inside[i] ^= 1 << i  # d = 1 is <g> itself
-        return _CyclicSubgroups(number, masks, generators, above, inside)
+        """One power walk per distinct cyclic subgroup, on first use."""
+        return _power_walks(self._tree, self.inverses)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return _table(self._generators)
 
     @cached_property
     def _power_graph(self) -> Graph:
         """x != y adjacent iff one is a power of the other; built once. Row x
         is <x> plus the generators of every cyclic subgroup containing <x>, less x."""
-        number, masks, _, above, _ = self._cyclic_subgroups
+        number, masks, _, above, *_ = self._cyclic_subgroups
         rows = tuple((masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(number))
         graph = Graph(rows)
         if self.order >= 2 and rows[0] != graph.full_mask ^ 1:
@@ -185,96 +162,156 @@ class FiniteGroup:
         antichain. Its witness is checked against the graph's rows."""
         sub = self._cyclic_subgroups
         value, antichain = _widest_antichain(sub.inside)
-        witness = 0
-        for i in antichain:
-            witness |= sub.generators[i] & -sub.generators[i]
+        witness = sum(sub.generators[i] & -sub.generators[i] for i in antichain)  # distinct bits
         return _checked_witness(self._power_graph.adj, value, witness, "independent-set")
 
     @cached_property
     def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
         """All cyclic subgroups maximal under inclusion, largest first; built once.
         They cover the group, so they meet only in e iff sum(size - 1) = n - 1."""
-        _, masks, _, above, _ = self._cyclic_subgroups  # maximal: nothing above lies outside
+        _, masks, _, above, *_ = self._cyclic_subgroups  # maximal: nothing above lies outside
         maximal = [frozenset(bits(m)) for m, a in zip(masks, above) if not a & ~m]
         maximal.sort(key=lambda s: (-len(s), sorted(s)))
         sizes = tuple(len(s) for s in maximal)
-        return MaximalCyclicDecomposition(
-            subgroups=tuple(maximal),
-            sizes=sizes,
-            pairwise_trivial=sum(sizes) - len(sizes) == self.order - 1,
-        )
+        return MaximalCyclicDecomposition(tuple(maximal), sizes,
+                                          sum(sizes) - len(sizes) == self.order - 1)
 
 
 @dataclass(frozen=True)
 class MaximalCyclicDecomposition:
-    """The maximal cyclic subgroups of a group, largest first.
-
-    ``pairwise_trivial`` records whether every two of them meet only in the
-    identity.
-    """
+    """The maximal cyclic subgroups of a group, largest first;
+    ``pairwise_trivial`` records whether every two meet only in the identity."""
 
     subgroups: tuple[frozenset[int], ...]
     sizes: tuple[int, ...]
     pairwise_trivial: bool
 
 
-def _orders_and_inverses(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """One power walk per cyclic subgroup: if x has order o, then x^k has
-    order o / gcd(k, o) and inverse x^(o-k)."""
-    orders, inverses = [0] * len(table), [0] * len(table)
-    for x in range(len(table)):
-        if orders[x]:
-            continue
-        powers = [x]  # x, x^2, ..., x^o = e; a broken table stops at n + 1 terms
-        while powers[-1] and len(powers) <= len(table):
-            powers.append(table[powers[-1]][x])
-        o = len(powers)
-        for k, y in enumerate(powers, 1):
-            orders[y] = o // gcd(k, o)
-            inverses[y] = powers[o - k - 1]
-    return tuple(orders), tuple(inverses)
-
-
 def _build(generators: Sequence[Sequence[int]], descriptor: GroupDescriptor) -> FiniteGroup:
-    """The group that the generator rows generate, its table built and proven
-    a group's in one pass of about n^2 + k^2 n lookups for k generators.
+    """The group the generator rows generate, proven one from the k rows
+    alone in about k^2 n steps. Row a is a's left multiplication L_a in the
+    constructor's layout: entry z is az, entry 0 a.
 
-    A generator row is the generator's left multiplication in the
-    constructor's index layout: entry z is az, so entry 0 is the generator's
-    index a. Row e is range(n). The identity's closure under right
-    multiplication by the generators is walked once, and each element y = xa
-    first reached gets its row then, as row x read through row a, since
-    (xa)z = x(az). So row y holds y at position e, and every row is a
-    composition of generator rows. The builder then checks:
+    The builder checks that every row is a permutation of range(n) (so a
+    negative, out-of-range or non-int entry is refused), that 0's orbit
+    under the L_a, walked as a tree of steps x = ap, is every element, and
+    that each generator b's right multiplication, derived along the tree as
+    R_b(0) = b and R_b(ap) = L_a(R_b(p)), commutes with every L_a.
 
-    - every generator row is a permutation of range(n), so every row is one
-      (a negative, out-of-range or non-int entry is refused here);
-    - the walk reaches all n elements;
-    - each generator row is the table's row at its index;
-    - left and right multiplication by generators commute: row a read
-      through column b is column b read through row a, that is
-      a(zb) = (az)b, for all generators a, b and every z.
-
-    Why they suffice. Every row is a composition of generator rows, so
-    every left multiplication commutes with each right multiplication by a
-    generator b: (xz)b = x(zb) for all x, z. The set of c with
-    (xz)c = x(zc) for all x, z holds e and every generator, and is closed
-    under right multiplication by a generator:
-    (xz)(cb) = ((xz)c)b = (x(zc))b = x((zc)b) = x(z(cb)). The walk reaches
-    every element as a product of generators, so the table is associative;
-    e is a two-sided identity and every row a permutation, so every element
-    has an inverse and the table is a group's. Every group passes. The
-    identity, inverse and Lagrange laws are checked last, against the orders
-    and inverses read off the table.
+    Why that suffices. The L_a generate a transitive permutation group G.
+    As R_b commutes with G, g fixing 0 fixes b = R_b(g(0)), so G_0 lies in
+    G_b = L_b G_0 L_b^-1, which is as large: the generators normalise G_0,
+    which then fixes every point and is trivial. So G acts regularly (Dixon
+    and Mortimer, Permutation Groups, 1996, 4.2), x*z = L_x(z) for the L_x
+    in G with L_x(0) = x is a group whose rows `_table` builds, and R_b is
+    right multiplication by b. Every group passes; `_refusal` names why
+    rows fail. Inverses follow the tree, x = ap giving x^-1 = R_a^-1(p^-1).
+    Orders and cyclic subgroups come from `_power_walks` on first use.
     """
     n = len(generators[0])
-    everyone = set(range(n))
     for i, row in enumerate(generators):
-        if len(row) != n or set(map(type, row)) != {int} or set(row) != everyone:
+        if len(row) != n or set(map(type, row)) != {int} or set(row) != set(range(n)):
             raise InternalError(f"generator row {i} is not a permutation of range({n})")
+    reached = bytearray(n)
+    reached[0] = 1
+    members, edges = [0], []  # an edge (p, i, x) for each x = ap first reached, a row i's index
+    for p in members:  # grows while it is walked
+        for i, row in enumerate(generators):
+            if not reached[x := row[p]]:
+                reached[x] = 1
+                members.append(x)
+                edges.append((p, i, x))
+    if len(members) < n:
+        raise _refusal(generators)
+    columns = []
+    for row in generators:
+        column = [0] * n
+        column[0] = row[0]
+        for p, i, x in edges:
+            column[x] = generators[i][column[p]]
+        columns.append(tuple(column))
+    through = [(row, itemgetter(*row), column, itemgetter(*column))
+               for row, column in zip(generators, columns)]  # a(zb) against (az)b:
+    if any(b_read(row) != read(column) for row, read, _, _ in through
+           for _, _, column, b_read in through):
+        raise _refusal(generators)
+    backs = [sorted(range(n), key=column.__getitem__) for column in columns]  # R_a^-1
+    tree, inverses = ([0] * n, [()] * n), [0] * n
+    for p, i, x in edges:
+        tree[0][x], tree[1][x], inverses[x] = p, columns[i], backs[i][inverses[p]]
+    return FiniteGroup(order=n, inverses=tuple(inverses), descriptor=descriptor,
+                       _generators=generators, _tree=tree)
+
+
+def _refusal(generators: Sequence[Sequence[int]]) -> InternalError:
+    """Why permutation rows generate no group, in the terms of the `_table`
+    they build: it misses an element, a generator row is not its index's
+    row, or a(zb) != (az)b for generators a, b (a table with none is a group's)."""
+    table, n = _table(generators), len(generators[0])
+    if None in table:
+        return InternalError(f"the generators reach {n - table.count(None)} of {n} elements")
+    for i, row in enumerate(generators):
+        if table[row[0]] != tuple(row):
+            return InternalError(f"generator row {i} is not row {row[0]} of the table it builds")
+    triple = next((row[0], z, b[0]) for row in generators for b in generators
+                  for z in range(n) if row[table[z][b[0]]] != table[row[z]][b[0]])
+    return InternalError(f"associativity fails at {triple}")
+
+
+def _times(tree: _Tree, z: int, x: int) -> int:
+    """z * x through x's word: x = ap, so z * x = (z * a) * p, and so on up to e."""
+    parent, column = tree
+    while x:
+        z, x = column[x][z], parent[x]
+    return z
+
+
+def _power_walks(tree: _Tree, inverses: Sequence[int]) -> _CyclicSubgroups:
+    """Cyclic subgroups and orders, one walk per distinct <x>, each order checked
+    against Lagrange: x^k has order o / gcd(k, o), and <x> holds the <x^d>, d | o."""
+    n = len(inverses)
+    orders, number = [0] * n, [-1] * n
+    masks, generators, divisors = [], [], []
+    for x in range(n):
+        if number[x] >= 0:
+            continue
+        half = [0, x]  # e, x, ..., x^m, until x^(2m-1) = e or x^(2m) = e
+        while half[-1] != inverses[half[-2]] and half[-1] != inverses[half[-1]]:
+            half.append(_times(tree, half[-1], x))
+        m = len(half) - 1
+        o = 2 * m - (half[-1] == inverses[half[-2]])
+        if n % o:
+            raise InternalError(f"order of element {x} violates Lagrange")
+        mask = every = 0
+        below = []  # x^d for every divisor d > 1 of o
+        powers = half[1:] + [inverses[y] for y in reversed(half[:o - m])]
+        for k, y in enumerate(powers, 1):
+            d = gcd(k, o)
+            orders[y] = o // d
+            every |= 1 << y
+            if d == 1:
+                number[y] = len(masks)
+                mask |= 1 << y
+            elif d == k:
+                below.append(y)
+        masks.append(every)
+        generators.append(mask)
+        divisors.append(below)
+    above, inside = list(generators), [0] * len(masks)
+    for i, below in enumerate(divisors):
+        for j in map(number.__getitem__, below):
+            above[j] |= generators[i]
+            inside[i] |= 1 << j
+    return _CyclicSubgroups(number, masks, generators, above, inside, tuple(orders))
+
+
+def _table(generators: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table along the identity's closure under right multiplication:
+    row xa is row x read through row a, as (xa)z = x(az). Rows are read out of
+    one shared ``tuple(range(n))``, so they share its int objects."""
+    n = len(generators[0])
     through = [(row[0], itemgetter(*row)) for row in generators]
-    rows: list = [None] * n
-    rows[0] = tuple(range(n))
+    rows: list = [tuple(range(n))] + [None] * (n - 1)
     members = [0]
     for x in members:  # grows while it is walked
         row = rows[x]
@@ -283,36 +320,13 @@ def _build(generators: Sequence[Sequence[int]], descriptor: GroupDescriptor) -> 
             if rows[y] is None:
                 rows[y] = read(row)
                 members.append(y)
-    if len(members) < n:
-        raise InternalError(f"the generators reach {len(members)} of {n} elements")
-    for i, row in enumerate(generators):
-        if rows[row[0]] != tuple(row):
-            raise InternalError(f"generator row {i} is not row {row[0]} of the table it builds")
-    columns = [(b, tuple(map(itemgetter(b), rows))) for b, _ in through]
-    for a, read in through:
-        row = rows[a]
-        for b, column in columns:
-            if itemgetter(*column)(row) != read(column):
-                z = next(z for z in range(n) if row[column[z]] != column[row[z]])
-                raise InternalError(f"associativity fails at {(a, z, b)}")
-    table = tuple(rows)
-    orders, inverses = _orders_and_inverses(table)
-    for x in range(n):
-        if table[0][x] != x or table[x][0] != x:
-            raise InternalError(f"identity law fails at element {x}")
-        if table[x][inverses[x]] != 0:
-            raise InternalError(f"inverse law fails at element {x}")
-        if n % orders[x]:
-            raise InternalError(f"order of element {x} violates Lagrange")
-    return FiniteGroup(order=n, table=table, orders=orders, inverses=inverses,
-                       descriptor=descriptor)
+    return tuple(rows)
 
 
 def _check_capacity(order: int) -> None:
     if order > DEFAULT_MAX_ORDER:
-        raise CapacityExceeded(
-            f"group order {order} exceeds the configured maximum {DEFAULT_MAX_ORDER}"
-        )
+        raise CapacityExceeded(f"group order {order} exceeds the configured maximum "
+                               f"{DEFAULT_MAX_ORDER}")
 
 
 def _generators(descriptor: GroupDescriptor) -> list[tuple[int, ...]]:
@@ -426,15 +440,10 @@ def _cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
     seen: set[int] = set()
     cycles = []
     for start in range(1, len(images) + 1):
-        if start in seen:
-            continue
         cycle = [start]
-        seen.add(start)
-        cur = images[start - 1]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = images[cur - 1]
+        while start not in seen and images[cycle[-1] - 1] != start:
+            cycle.append(images[cycle[-1] - 1])
+        seen.update(cycle)
         if len(cycle) > 1:
             cycles.append(tuple(cycle))
     return cycles
@@ -442,14 +451,9 @@ def _cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
 
 def canonical_permutation_name(generators: Sequence[Sequence[int]]) -> str:
     """Spec string for a permutation-generated group; "Z1" if nothing generates."""
-    parts = []
-    for images in generators:
-        cycles = _cycles_of_images(images)
-        if cycles:
-            parts.append("".join("(" + " ".join(map(str, c)) + ")" for c in cycles))
-    if not parts:
-        return "Z1"
-    return "perm:" + ";".join(parts)
+    parts = ["".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+             for cycles in map(_cycles_of_images, generators) if cycles]
+    return "perm:" + ";".join(parts) if parts else "Z1"
 
 
 def from_permutations(generators: Sequence[Sequence[int]], *,
@@ -476,9 +480,8 @@ def _permutation_generators(images: Sequence[Sequence[int]]) -> list[tuple[int, 
             composed = tuple(map(current.__getitem__, gen))
             if composed not in index:
                 if len(elements) >= DEFAULT_MAX_ORDER:
-                    raise CapacityExceeded(
-                        f"permutation closure exceeds the configured maximum {DEFAULT_MAX_ORDER}"
-                    )
+                    raise CapacityExceeded("permutation closure exceeds the configured "
+                                           f"maximum {DEFAULT_MAX_ORDER}")
                 index[composed] = len(elements)
                 elements.append(composed)
     return [tuple([index[tuple(map(gen.__getitem__, z))] for z in elements])
@@ -527,14 +530,7 @@ def maximal_cyclic_subgroups(g: FiniteGroup) -> MaximalCyclicDecomposition:
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
 def is_P_group(g: FiniteGroup) -> bool:

@@ -1,6 +1,6 @@
 """Closed-form span predictions and classification checks for group families.
 
-Family recognition is structural (read off the Cayley table), never trusted
+Family recognition is structural (orders and cyclic subgroups), never trusted
 from the descriptor alone, so permutation-generated groups classify too.
 Predictions serve as ground truth against the exact solvers; when several
 rules match the same group their values must agree, and the first match in
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import CapacityExceeded, InternalError
 from .groups import (
     FiniteGroup,
-    cyclic_subgroup,
     is_P_group,
     is_prime,
     maximal_cyclic_subgroups,
@@ -95,8 +94,9 @@ def _index_two_cyclic(g: FiniteGroup, outside_order: int) -> bool:
     rotation = next((x for x in range(n) if g.orders[x] == n // 2), None)
     if rotation is None:
         return False
-    inside = cyclic_subgroup(g, rotation)
-    return all(g.orders[x] == outside_order for x in range(n) if x not in inside)
+    number, masks, *_ = g._cyclic_subgroups
+    inside = format(masks[number[rotation]], f"0{n}b")[::-1]  # character x is bit x
+    return {o for o, bit in zip(g.orders, inside) if bit == "0"} <= {outside_order}
 
 
 def dihedral_params(g: FiniteGroup) -> int | None:

@@ -128,11 +128,15 @@ class Graph:
 
     @cached_property
     def distance_two(self) -> tuple[int, ...]:
-        """Row v: the vertices at distance exactly two from v; built once. Neighbour
-        rows are OR-ed in until nothing is left to add (on a power graph: the identity's)."""
+        """Row v: the vertices at distance exactly two from v; built once. The
+        complement's rows if a vertex dominates (on a power graph: the identity),
+        else neighbour rows OR-ed in until nothing is left to add."""
+        full = self.full_mask
+        if any(row == full ^ (1 << v) for v, row in enumerate(self.adj)):
+            return self.complement.adj
         rows = []
         for v, row in enumerate(self.adj):
-            rest = self.full_mask & ~row & ~(1 << v)
+            rest = full & ~row & ~(1 << v)
             reach = 0
             for u in bits(row):
                 reach |= self.adj[u]

@@ -23,9 +23,9 @@ import time
 from collections import deque
 from itertools import combinations, compress, count
 from operator import itemgetter, ne
+from typing import NamedTuple
 
 from lambda_power.errors import CapacityExceeded, InternalError
-from lambda_power.groups import FiniteGroup
 from lambda_power.invariants import WitnessedValue, _cover_lower_bound
 from lambda_power.labeling import Labeling
 from lambda_power.powergraph import Graph, bits
@@ -218,15 +218,40 @@ def reference_violations(graph: Graph, labels) -> list[tuple[int, int, str]]:
 
 
 def power_walk(table) -> tuple[list[int], list[int]]:
-    """Orders and inverses by walking x, x^2, ... for every element x."""
+    """Orders and inverses by walking x, x^2, ... for every element x; on a
+    table that is no group's, a walk stops after n + 1 terms."""
     orders, inverses = [], []
     for x in range(len(table)):
         powers = [x]
-        while powers[-1] != 0:
+        while powers[-1] != 0 and len(powers) <= len(table):
             powers.append(table[powers[-1]][x])
         orders.append(len(powers))
         inverses.append(powers[-2] if len(powers) > 1 else 0)
     return orders, inverses
+
+
+def cyclic_subgroups_of(table) -> tuple[list[int], ...]:
+    """The fields of a group's ``_cyclic_subgroups`` from its table: every <x>
+    as a mask of its powers, the distinct ones numbered in order of their
+    first generator; then per subgroup its generators, the generators of
+    every subgroup containing it and the subgroups strictly inside it; and
+    per element x the order of x, the size of <x>."""
+    spans = []
+    for x in range(len(table)):
+        powers, y = {0}, x
+        while y:
+            powers.add(y)
+            y = table[y][x]
+        spans.append(sum(1 << y for y in powers))
+    masks = list(dict.fromkeys(spans))
+    number = list(map({mask: j for j, mask in enumerate(masks)}.__getitem__, spans))
+    generators = [0] * len(masks)
+    for x, j in enumerate(number):
+        generators[j] |= 1 << x
+    above = [sum(g for g, big in zip(generators, masks) if not mask & ~big) for mask in masks]
+    inside = [sum(1 << j for j, small in enumerate(masks) if small != big and not small & ~big)
+              for big in masks]
+    return number, masks, generators, above, inside, tuple(map(int.bit_count, spans))
 
 
 def composed_permutation_table(generators) -> tuple[tuple[int, ...], ...]:
@@ -268,29 +293,35 @@ def is_group_table(table, inverses) -> bool:
                     for a in indices for b in indices for c in indices))
 
 
-def validated_group(table, descriptor) -> FiniteGroup:
+class TableGroup(NamedTuple):
+    """A raw Cayley table with the orders and inverses claimed for it."""
+
+    order: int
+    table: tuple
+    orders: tuple
+    inverses: tuple
+    descriptor: object
+
+    @classmethod
+    def of(cls, group) -> TableGroup:
+        """A built group's table, orders and inverses, to change and revalidate."""
+        return cls(group.order, group.table, group.orders, group.inverses, group.descriptor)
+
+
+def validated_group(table, descriptor) -> TableGroup:
     """A group on a raw table, refused by ``validate_table`` unless it is a
-    group's. Orders and inverses come from one power walk per element,
-    stopped after n + 1 terms; an entry that is not an element index raises
-    ``InternalError``."""
-    n = len(table)
-    orders, inverses = [], []
+    group's. Orders and inverses come from ``power_walk``; an entry that is
+    not an element index raises ``InternalError``."""
     try:
-        for x in range(n):
-            powers = [x]
-            while powers[-1] and len(powers) <= n:
-                powers.append(table[powers[-1]][x])
-            orders.append(len(powers))
-            inverses.append(powers[-2] if len(powers) > 1 else 0)
+        orders, inverses = power_walk(table)
     except (IndexError, TypeError) as exc:
         raise _bad_entry(exc) from exc
-    group = FiniteGroup(order=n, table=table, orders=tuple(orders), inverses=tuple(inverses),
-                        descriptor=descriptor)
+    group = TableGroup(len(table), table, tuple(orders), tuple(inverses), descriptor)
     validate_table(group)
     return group
 
 
-def validate_table(group: FiniteGroup) -> None:
+def validate_table(group) -> None:
     """The group laws element by element, then associativity from the closure
     tree that reads off a generating set A: every element y but e was first
     reached as y = xa with x reached before it and a in A.

@@ -1,15 +1,17 @@
 """Group constructors, element algebra and maximal cyclic decompositions."""
 
 import re
-from dataclasses import replace
 
 import pytest
 
 from oracles import (
+    TableGroup,
     closure_table,
     closure_tree,
     composed_permutation_table,
+    cyclic_subgroups_of,
     generating_set,
+    power_walk,
     validate_table,
     validated_group,
 )
@@ -28,13 +30,10 @@ from lambda_power import (
     maximal_cyclic_subgroups,
     permutation_from_cycles,
 )
-from lambda_power import groups
+from lambda_power import cli, groups
 from lambda_power.cli import builtin_corpus, group_from_text, parse_group_spec
-from lambda_power.groups import (
-    GroupDescriptor,
-    _orders_and_inverses,
-    from_descriptor,
-)
+from lambda_power.groups import GroupDescriptor, from_descriptor
+from lambda_power.labeling import lambda_exact
 
 A5_IMAGES = [permutation_from_cycles([(1, 2, 3, 4, 5)]),
              permutation_from_cycles([(1, 2, 3)])]
@@ -336,8 +335,8 @@ def test_table_whose_powers_never_reach_the_identity_is_refused():
 
 
 def broken(group, **changes):
-    """The group with some fields replaced, validated as if freshly built."""
-    validate_table(replace(group, **changes))
+    """The group's table, orders and inverses, some replaced, validated as if freshly built."""
+    validate_table(TableGroup.of(group)._replace(**changes))
 
 
 def with_row(table, x, row):
@@ -438,7 +437,7 @@ def test_only_generator_commutation_refuses_this_table():
     # generator row; but 1(2 * 4) != (1 * 2)4, so commutation refuses it.
     table = ((0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 3, 5), (2, 0, 1, 3, 4, 5),
              (3, 2, 4, 0, 5, 1), (4, 1, 3, 2, 5, 0), (5, 1, 2, 3, 0, 4))
-    orders, inverses = _orders_and_inverses(table)
+    orders, inverses = power_walk(table)
     columns, edges = closure_tree(table, orders)
     assert list(columns) == [1, 4]
     assert all(table[y] == tuple(table[x][z] for z in table[a]) for x, a, y in edges)
@@ -466,7 +465,7 @@ def test_validation_reads_a_bounded_number_of_rows_per_element(spec):
     group = group_from_text(spec)
     n, k = group.order, len(generating_set(group.table, group.orders))
     table = CountingTable(group.table)
-    validate_table(replace(group, table=table))
+    validate_table(TableGroup.of(group)._replace(table=table))
     assert table.reads <= 5 * n + k * k + 2 * k < 6 * n
 
 
@@ -508,6 +507,28 @@ def test_greedy_generating_set_needs_at_most_log2_n_generators():
 def test_every_built_table_passes_the_reference_validator():
     for spec, group in builtin_corpus(100) + [(s, group_from_text(s)) for s in PINNED_LARGE]:
         validate_table(group)
+
+
+def test_walked_orders_inverses_and_cyclic_subgroups_match_the_table():
+    for spec, group in builtin_corpus(100) + [(s, group_from_text(s)) for s in PINNED_LARGE]:
+        orders, inverses = power_walk(group.table)
+        assert (group.orders, group.inverses) == (tuple(orders), tuple(inverses)), spec
+        assert tuple(group._cyclic_subgroups) == cyclic_subgroups_of(group.table), spec
+        assert all(group.mul(a, b) == group.table[a][b]
+                   for a in range(min(group.order, 16)) for b in range(group.order)), spec
+
+
+def test_solving_never_builds_the_table(monkeypatch, capsys):
+    def refuse(generators):
+        raise AssertionError("an n^2 Cayley table was built")
+
+    monkeypatch.setattr(groups, "_table", refuse)
+    for spec, group in builtin_corpus(48) + [(s, group_from_text(s)) for s in PINNED_LARGE]:
+        assert lambda_exact(group, verify=True).exact, spec
+    assert cli.main(["enumerate", "--max-order", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 43  # a header and 42 groups
+    assert cli.main(["invariants", "D1024", "--json"]) == 0
+    assert cli.main(["graph", "Q16", "--format", "csv"]) == 0
 
 
 Z6_STEP = (1, 2, 3, 4, 5, 0)  # the row of Z6's generator 1
@@ -554,6 +575,19 @@ def test_builder_refuses_generators_that_do_not_commute():
         build_z6(*generators)
     a, z, b = map(int, re.findall(r"\d+", str(info.value)))
     assert table[a][table[z][b]] != table[table[a][z]][b]
+
+
+def test_builder_refuses_a_transitive_action_that_is_not_regular():
+    # D8 on a square's corners: a rotation and the reflection through corners
+    # 1 and 3 reach all four corners, but they generate all 8 symmetries, so
+    # the reflection through corners 0 and 2 fixes 0 and the action is not
+    # regular: the rows name no group on four points.
+    generators = [(1, 2, 3, 0), (2, 1, 0, 3)]
+    table = closure_table(generators)
+    assert None not in table and all(table[g[0]] == list(g) for g in generators)
+    with pytest.raises(InternalError, match=re.escape("associativity fails at (1, 1, 1)") + "$"):
+        groups._build(generators, GroupDescriptor.atom("cyclic", 4))
+    assert table[1][table[1][1]] != table[table[1][1]][1]
 
 
 def test_a_table_that_needs_too_many_generators_is_refused():

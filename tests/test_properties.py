@@ -20,6 +20,7 @@ from oracles import (
     check_l21,
     clique_number,
     composed_permutation_table,
+    cyclic_subgroups_of,
     delete_vertex,
     independence_number,
     is_group_table,
@@ -29,6 +30,7 @@ from oracles import (
     reference_row_check,
     reference_violations,
     scattering_count,
+    TableGroup,
     validate_table,
 )
 
@@ -53,7 +55,6 @@ from lambda_power.cli import builtin_corpus
 from lambda_power.groups import (
     GroupDescriptor,
     _build,
-    _orders_and_inverses,
     from_descriptor,
     from_permutations,
 )
@@ -169,7 +170,8 @@ def test_validate_l21_matches_pair_scan(case):
 @settings(max_examples=120, deadline=None)
 @given(graphs(max_n=12), st.data())
 def test_distance_two_rows_match_bfs_with_a_dominating_vertex(graph, data):
-    # The early stop fires once the dominating vertex's row is OR-ed in.
+    # Every non-neighbour is two steps away through the dominating vertex,
+    # so the rows are the complement's, shared with it.
     n = graph.n + 1
     top = data.draw(st.integers(min_value=0, max_value=n - 1))
     old = [v for v in range(n) if v != top]  # old vertex i is new vertex old[i]
@@ -178,6 +180,7 @@ def test_distance_two_rows_match_bfs_with_a_dominating_vertex(graph, data):
     for v in range(n):
         dist = bfs_distances(graph, v)
         assert graph.distance_two[v] == sum(1 << u for u, d in enumerate(dist) if d == 2)
+    assert graph.distance_two is graph.complement.adj
 
 
 @st.composite
@@ -192,7 +195,8 @@ def permutation_groups(draw):
                  st.deferred(lambda: st.sampled_from([g for _, g in builtin_corpus(40)]))))
 def test_orders_and_inverses_match_a_power_walk(group):
     orders, inverses = power_walk(group.table)
-    assert _orders_and_inverses(group.table) == (tuple(orders), tuple(inverses))
+    assert (group.orders, group.inverses) == (tuple(orders), tuple(inverses))
+    assert tuple(group._cyclic_subgroups) == cyclic_subgroups_of(group.table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,8 +238,8 @@ def mutated_group_tables(draw):
             row[j], row[k] = row[k], row[j]
         else:
             row[draw(indices)] = draw(st.one_of(indices, st.sampled_from([-1, n, None])))
-    return replace(group, table=tuple(map(tuple, table)), inverses=tuple(inverses),
-                   orders=tuple(orders))
+    return TableGroup.of(group)._replace(table=tuple(map(tuple, table)),
+                                         inverses=tuple(inverses), orders=tuple(orders))
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,8 +300,8 @@ def paired_swap_tables(draw):
         partner = next((r for r in range(n) if table[r][j] == table[x][k]), x)
         for r in {x, draw(st.one_of(st.just(partner), indices))}:
             table[r][j], table[r][k] = table[r][k], table[r][j]
-    return replace(group, table=tuple(map(tuple, table)), inverses=tuple(inverses),
-                   orders=tuple(orders))
+    return TableGroup.of(group)._replace(table=tuple(map(tuple, table)),
+                                         inverses=tuple(inverses), orders=tuple(orders))
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,6 +344,7 @@ def test_product_tables_match_the_pairwise_reference(atoms):
     pairwise = reduce(lambda h, g: direct_product(g, h), reversed(factors))  # g x (h x k)
     for group in (left_nested, right_nested, pairwise):
         assert (group.table, group.orders, group.inverses) == expected
+        assert tuple(group._cyclic_subgroups) == cyclic_subgroups_of(reference)
 
 
 def product_of(atoms):
@@ -363,6 +368,9 @@ def permutation_products(draw):
                  permutation_products()))
 def test_built_tables_pass_the_reference_validator(group):
     validate_table(group)
+    orders, inverses = power_walk(group.table)
+    assert (group.orders, group.inverses) == (tuple(orders), tuple(inverses))
+    assert tuple(group._cyclic_subgroups) == cyclic_subgroups_of(group.table)
     if group.descriptor.family == "product":
         left, right = map(from_descriptor, group.descriptor.params)
         assert group.table == pair_product_table(left.table, right.table)
