@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from typing import Iterator
 
 from . import __version__
 from .errors import CapacityExceeded, GroupSpecError, VerificationError
@@ -170,20 +170,13 @@ def group_from_text(text: str) -> FiniteGroup:
 # Built-in corpus
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+def _partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``cap``, parts descending."""
     if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, n, ())
-    return out
+        yield ()
+    for part in range(min(n, cap or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 def _abelian_specs(order: int) -> list[str]:
@@ -212,16 +205,11 @@ def builtin_corpus(cap: int) -> list[tuple[str, FiniteGroup]]:
     Other nonabelian groups are out of corpus; supply them explicitly as
     permutation generators instead.
     """
-    entries: list[tuple[str, FiniteGroup]] = []
-    for n in range(2, cap + 1):
-        entries.append((f"Z{n}", make_cyclic(n)))
-    for n in range(4, cap + 1):
-        for spec in _abelian_specs(n):
-            entries.append((spec, group_from_text(spec)))
-    for m in range(6, cap + 1, 2):
-        entries.append((f"D{m}", make_dihedral(m)))
-    for m in range(8, cap + 1, 4):
-        entries.append((f"Q{m}", make_generalized_quaternion(m)))
+    entries = [(f"Z{n}", make_cyclic(n)) for n in range(2, cap + 1)]
+    entries += [(spec, group_from_text(spec)) for n in range(4, cap + 1)
+                for spec in _abelian_specs(n)]
+    entries += [(f"D{m}", make_dihedral(m)) for m in range(6, cap + 1, 2)]
+    entries += [(f"Q{m}", make_generalized_quaternion(m)) for m in range(8, cap + 1, 4)]
     entries.sort(key=lambda item: (item[1].order, item[0]))
     return entries
 
@@ -282,24 +270,23 @@ class _Cache:
     """Append-only JSON-lines result cache keyed by spec, options and
     package version, so a solver change never serves a stale result.
 
-    A line that is not a ``{"key": ..., "report": {...}}`` record is skipped
-    with a warning on stderr.
+    A line that is not a UTF-8 ``{"key": ..., "report": {...}}`` record is
+    skipped with a warning on stderr. Opening the file for reading and
+    appending (creating it if need be) raises ``OSError`` before any solve.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.entries: dict[str, dict] = {}
-        self.needs_newline = False
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        self.needs_newline = bool(text) and not text.endswith("\n")
-        for number, line in enumerate(text.splitlines(), start=1):
+        with open(path, "a+b") as handle:
+            handle.seek(0)
+            data = handle.read()
+        self.needs_newline = bool(data) and not data.endswith(b"\n")
+        for number, line in enumerate(data.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
                 key, report = record["key"], record["report"]
                 valid = isinstance(key, str) and isinstance(report, dict)
             except (ValueError, KeyError, TypeError):
@@ -345,7 +332,12 @@ def cmd_lambda(args) -> int:
     group = _load_group(args.spec)
     if group is None:
         return 1
-    cache = _Cache(args.cache) if args.cache else None
+    try:
+        cache = _Cache(args.cache) if args.cache else None
+    except OSError as exc:
+        print(f"error: cannot use cache file {args.cache}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     cache_key = (f"{group.descriptor.name}|method={args.method}"
                  f"|verify={args.verify}|witness={not args.no_witness}"
                  f"|version={__version__}")
@@ -375,11 +367,14 @@ def cmd_lambda(args) -> int:
 def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
     if not text:
         return default
-    lo, sep, hi = text.partition("..")
+    lo_text, sep, hi_text = text.partition("..")
     try:
-        return int(lo), int(hi if sep else lo)
+        lo, hi = int(lo_text), int(hi_text if sep else lo_text)
     except ValueError:
         raise ValueError(f"range must be N or LO..HI, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"range {text!r} is empty: LO must not exceed HI")
+    return lo, hi
 
 
 _ZPQN_CASES = ((2, 3, 1), (3, 2, 1), (2, 3, 2), (3, 2, 2), (2, 5, 1), (5, 2, 1))

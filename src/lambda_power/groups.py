@@ -133,14 +133,12 @@ class FiniteGroup:
 
     @cached_property
     def _power_graph(self) -> Graph:
-        """x != y adjacent iff one is a power of the other; built once. Row x
-        is <x> plus the generators of every cyclic subgroup containing <x>, less x."""
-        number, masks, _, above, *_ = self._cyclic_subgroups
-        rows = tuple((masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(number))
-        graph = Graph(rows)
-        if self.order >= 2 and rows[0] != graph.full_mask ^ 1:
+        """x != y adjacent iff one is a power of the other; built once, from
+        the rows `_power_rows` reads off the checked cyclic-subgroup poset."""
+        rows = _power_rows(self._cyclic_subgroups, self.order)
+        if self.order >= 2 and rows[0] != (1 << self.order) - 2:
             raise InternalError("identity must be adjacent to every other element")
-        return graph
+        return Graph._trusted(rows)
 
     @cached_property
     def power_graph_clique(self) -> WitnessedValue:
@@ -303,6 +301,36 @@ def _power_walks(tree: _Tree, inverses: Sequence[int]) -> _CyclicSubgroups:
             above[j] |= generators[i]
             inside[i] |= 1 << j
     return _CyclicSubgroups(number, masks, generators, above, inside, tuple(orders))
+
+
+def _power_rows(sub: _CyclicSubgroups, n: int) -> tuple[int, ...]:
+    """The power graph's rows, row x <x> plus the generators of every cyclic
+    subgroup containing <x>, less x, once the record they come from passes
+    a check of about n + q^2 big-int steps for q subgroups: the generators
+    partition range(n) as ``number`` says; each ``inside`` row is a strict
+    order (in range, irreflexive and transitive, hence antisymmetric), as
+    `_heaviest_chain` and `_widest_antichain` assume; ``masks[i]`` is the
+    generators of i and of the subgroups inside it, ``above[i]`` those of i
+    and of the subgroups containing it. Then y != x is in row x iff <x> and
+    <y> are nested, so the rows are below n, loop-free and symmetric."""
+    number, masks, generators, above, inside, _ = sub
+    q = len(generators)
+    if (len(number) != n or sum(map(int.bit_count, generators)) != n
+            or any(g >> n for g in generators) or not 0 <= min(number) <= max(number) < q
+            or not all(generators[i] >> x & 1 for x, i in enumerate(number))):
+        raise InternalError("cyclic subgroup generators do not partition the elements")
+    elements, containing = list(generators), list(generators)
+    for i, row in enumerate(inside):
+        if len(inside) != q or row >> q or row >> i & 1 or any(inside[j] & ~row for j in bits(row)):
+            raise InternalError(f"the subgroups inside cyclic subgroup {i} are no strict order")
+        for j in bits(row):
+            elements[i] |= generators[j]
+            containing[j] |= generators[i]
+    if elements != masks:
+        raise InternalError("a cyclic subgroup is not its generators and those inside it")
+    if containing != above:
+        raise InternalError("a cyclic subgroup's row above is not the generators containing it")
+    return tuple((masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(number))
 
 
 def _table(generators: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -45,7 +45,7 @@ class WitnessedValue:
 
     value: int
     witness: tuple[int, ...]
-    kind: str  # clique | independent-set | hamilton-path | path-cover | p4
+    kind: str  # clique | independent-set
 
 
 @dataclass(frozen=True)

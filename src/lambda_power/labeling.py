@@ -44,12 +44,7 @@ from .oracle import (
     two_prime_cyclic_params,
     two_prime_cyclic_span,
 )
-from .powergraph import (
-    Graph,
-    bits,
-    build_power_graph,
-    diameter_at_most_two,
-)
+from .powergraph import Graph, bits, build_power_graph, diameter_at_most_two
 
 __all__ = [
     "Bound",

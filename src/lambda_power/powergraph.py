@@ -4,9 +4,10 @@ A graph is only its rows. The invariants accept any simple graph; the span
 search takes graphs of diameter at most 2, as every power graph is.
 Vertices are 0-based; adjacency row v is an int whose bit u says u and v are
 adjacent, so neighborhood intersections are single ANDs. A group builds its
-power graph once; ``build_power_graph`` hands it out. Every construction
-from outside rows checks them, symmetry against their transpose (about
-n log n big-int ops); a complement, built from checked rows, needs no check.
+power graph once, from its checked cyclic-subgroup poset (`groups`), and
+``build_power_graph`` hands it out. Rows passed to ``Graph(...)`` are
+checked one edge at a time; the power graph, a complement and
+``from_edges`` are valid by how they are built and skip that check.
 """
 
 from __future__ import annotations
@@ -38,49 +39,28 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _transpose(rows: tuple[int, ...]) -> list[int]:
-    """Bit u of row v of the result is bit v of ``rows[u]`` (bits below n only).
-
-    Round j swaps bit j of the row and column index by exchanging the j-wide
-    off-diagonal blocks of every 2j-square block, a whole row pair at a time.
-    """
-    n = len(rows)
-    size = 1 << (n - 1).bit_length() if n else 0
-    a = [row & ((1 << n) - 1) for row in rows] + [0] * (size - n)
-    j = size >> 1
-    while j:
-        low = ((1 << size) - 1) // ((1 << 2 * j) - 1) * ((1 << j) - 1)  # column bit j clear
-        for base in range(0, size, 2 * j):
-            for k in range(base, base + j):
-                t = ((a[k] >> j) ^ a[k + j]) & low
-                a[k] ^= t << j
-                a[k + j] ^= t
-        j >>= 1
-    return a[:n]
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph, given by its adjacency rows.
 
-    Every construction checks the rows: below n, loop-free, and symmetric, by
-    their transpose; the first bad (v, u) is the lowest u of row v not in column v.
-    Only the complement, whose rows pass by construction, skips the check.
+    ``Graph(rows)`` checks the rows: below n, loop-free, and symmetric, per
+    edge; the first bad (v, u) is the lowest u of row v that does not see v.
+    Rows valid by construction (the power graph, once its poset is checked,
+    a complement and ``from_edges``) skip the check through ``_trusted``.
     """
 
     adj: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.adj)
-        for v, (row, column) in enumerate(zip(self.adj, _transpose(self.adj))):
+        for v, row in enumerate(self.adj):
             if row >> n:
                 raise InternalError(f"adjacency row {v} mentions vertices >= {n}")
             if (row >> v) & 1:
                 raise InternalError(f"vertex {v} is adjacent to itself")
-            stray = row & ~column
-            if stray:
-                u = (stray & -stray).bit_length() - 1
-                raise InternalError(f"adjacency not symmetric at ({v}, {u})")
+            for u in bits(row):
+                if not (self.adj[u] >> v) & 1:
+                    raise InternalError(f"adjacency not symmetric at ({v}, {u})")
 
     @property
     def n(self) -> int:
@@ -153,7 +133,7 @@ class Graph:
                 raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(tuple(rows))
+        return Graph._trusted(tuple(rows))  # endpoints checked, symmetric as built
 
 
 def build_power_graph(g: FiniteGroup) -> Graph:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
-from lambda_power import __version__, groups
+from lambda_power import __version__, cli, groups
 from lambda_power.cli import (
     build_group,
     builtin_corpus,
@@ -301,8 +301,9 @@ def test_cmd_verify_zpqn_values(capsys):
     assert values == [8, 8, 28, 16, 16, 16]
 
 
-# "10001..10002" is past the order cap, refused before the CSV header.
-@pytest.mark.parametrize("bad_range", ["5..x", "0..3", "10001..10002"])
+# "10001..10002" is past the order cap and "5..3" is empty, both refused
+# before the CSV header.
+@pytest.mark.parametrize("bad_range", ["5..x", "0..3", "10001..10002", "5..3"])
 def test_cmd_verify_bad_range_is_an_error(capsys, bad_range):
     code, out, err = run(capsys, "verify", "cyclic", bad_range)
     assert code == 1
@@ -445,6 +446,30 @@ def test_corrupt_cache_line_is_skipped_with_warning(tmp_path, capsys):
     assert hit == out
     assert err.count("warning:") == 1
     assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_undecodable_cache_line_is_skipped_with_warning(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(b'{"key": "\xff", "report": {}}\n')
+    code, out, err = run(capsys, "lambda", "Z6", "--json", "--cache", str(cache))
+    assert code == 0
+    assert json.loads(out)["lambda"] == 8
+    assert err == f"warning: {cache}:1: skipping corrupt cache line\n"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unusable_cache_path_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.jsonl"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was solved")
+
+    monkeypatch.setattr(cli, "lambda_exact", refuse)
+    code, out, err = run(capsys, "lambda", "Z6", "--cache", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot use cache file {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_cache_record_of_another_version_is_a_miss(tmp_path, capsys):

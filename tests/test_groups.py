@@ -18,6 +18,7 @@ from oracles import (
 
 from lambda_power import (
     CapacityExceeded,
+    Graph,
     InternalError,
     cyclic_subgroup,
     direct_product,
@@ -514,6 +515,7 @@ def test_walked_orders_inverses_and_cyclic_subgroups_match_the_table():
         orders, inverses = power_walk(group.table)
         assert (group.orders, group.inverses) == (tuple(orders), tuple(inverses)), spec
         assert tuple(group._cyclic_subgroups) == cyclic_subgroups_of(group.table), spec
+        assert Graph(group._power_graph.adj) == group._power_graph, spec  # the full row check
         assert all(group.mul(a, b) == group.table[a][b]
                    for a in range(min(group.order, 16)) for b in range(group.order)), spec
 

@@ -59,6 +59,32 @@ def test_graph_builds_per_question(monkeypatch):
     assert len(built) == 2
 
 
+# Z8 walks <0>, <1>, <2>, <4> in that order: number = [0, 1, 2, 1, 3, 1, 2, 1]
+# and inside = [{}, {0, 2, 3}, {0, 3}, {0}].
+@pytest.mark.parametrize("field, corrupt, message", [
+    ("number", lambda rows: rows.__setitem__(1, 2), "do not partition"),
+    ("inside", lambda rows: rows.__setitem__(2, rows[2] | 1 << 2), "no strict order"),
+    ("inside", lambda rows: rows.__setitem__(1, rows[1] & ~1), "no strict order"),  # not transitive
+    ("inside", lambda rows: rows.__setitem__(3, rows[3] | 1 << 2), "no strict order"),  # a cycle
+    ("masks", lambda rows: rows.__setitem__(2, rows[2] & ~(1 << 4)), "not its generators"),
+    ("above", lambda rows: rows.__setitem__(3, rows[3] & ~(1 << 1)), "row above"),
+], ids=["partition", "reflexive", "intransitive", "cyclic", "masks", "above"])
+def test_corrupted_poset_is_refused_before_any_graph_is_built(monkeypatch, field, corrupt,
+                                                              message):
+    from lambda_power import InternalError
+    group = make_cyclic(8)
+    sub = group._cyclic_subgroups
+    assert sub.number == [0, 1, 2, 1, 3, 1, 2, 1]
+    assert sub.inside == [0, 0b1101, 0b1001, 0b1]
+    rows = list(getattr(sub, field))
+    corrupt(rows)
+    group.__dict__["_cyclic_subgroups"] = sub._replace(**{field: rows})
+    built = count_graph_builds(monkeypatch)
+    with pytest.raises(InternalError, match=message):
+        build_power_graph(group)
+    assert built == []
+
+
 def test_power_graph_is_built_once_per_group():
     group = make_dihedral(10)
     graph = build_power_graph(group)
