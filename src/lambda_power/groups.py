@@ -18,10 +18,10 @@ independence numbers. The n^2 Cayley table is built only when asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, isqrt, prod
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
@@ -165,24 +165,31 @@ class FiniteGroup:
 
     @cached_property
     def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
-        """All cyclic subgroups maximal under inclusion, largest first; built once.
-        They cover the group, so they meet only in e iff sum(size - 1) = n - 1."""
-        _, masks, _, above, *_ = self._cyclic_subgroups  # maximal: nothing above lies outside
-        maximal = [frozenset(bits(m)) for m, a in zip(masks, above) if not a & ~m]
-        maximal.sort(key=lambda s: (-len(s), sorted(s)))
-        sizes = tuple(len(s) for s in maximal)
-        return MaximalCyclicDecomposition(tuple(maximal), sizes,
+        """All cyclic subgroups maximal under inclusion, those inside no other;
+        built once. They cover the group, so they meet only in e iff
+        sum(size - 1) = n - 1."""
+        _, masks, _, _, inside, _ = self._cyclic_subgroups
+        covered = reduce(or_, inside, 0)
+        maximal = tuple(m for i, m in enumerate(masks) if not covered >> i & 1)
+        sizes = tuple(sorted(map(int.bit_count, maximal), reverse=True))
+        return MaximalCyclicDecomposition(maximal, sizes,
                                           sum(sizes) - len(sizes) == self.order - 1)
 
 
-@dataclass(frozen=True)
-class MaximalCyclicDecomposition:
-    """The maximal cyclic subgroups of a group, largest first;
-    ``pairwise_trivial`` records whether every two meet only in the identity."""
+class MaximalCyclicDecomposition(NamedTuple):
+    """The maximal cyclic subgroups of a group as element masks, in walk
+    order, and their sizes, descending; ``pairwise_trivial`` records whether
+    every two meet only in the identity. ``subgroups`` lists them as element
+    sets, largest first, built when read."""
 
-    subgroups: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     sizes: tuple[int, ...]
     pairwise_trivial: bool
+
+    @property
+    def subgroups(self) -> tuple[frozenset[int], ...]:
+        return tuple(sorted(map(frozenset, map(bits, self.masks)),
+                            key=lambda s: (-len(s), sorted(s))))
 
 
 def _build(generators: Sequence[Sequence[int]], descriptor: GroupDescriptor) -> FiniteGroup:

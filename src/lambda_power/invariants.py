@@ -12,7 +12,11 @@ A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 A power graph's clique and independence numbers need no search: its group
 reads them off a chain and an antichain of its cyclic subgroups, with the
-poset routines and the witness check here.
+poset routines and the witness check here. The bound ledger reads two more
+answers off the same poset: the components of the graph less the identity,
+and whether the complement has a path on four vertices.
+``cut_vertex_component_profile`` and ``find_complement_p4`` answer both on
+the graph itself, for the ``invariants`` command and as test references.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import CapacityExceeded, InternalError
@@ -109,6 +115,68 @@ def _widest_antichain(below: Sequence[int]) -> tuple[int, list[int]]:
     matching = _double_cover_matching(below, mask)
     x_set, s_set = _koenig_sets(below, mask, matching)
     return matching[0].count(-1), list(bits(x_set & ~s_set))
+
+
+def _comparability_weights(weights: Sequence[int], below: Sequence[int]) -> list[int]:
+    """The total weights of the components of the comparability graph of the
+    strict order of ``_heaviest_chain`` less its element 0, descending. An
+    element comparable to none is a component of its own; the rest are
+    joined by one union per pair j < i, as few as the order is sparse."""
+    rows = [row & ~1 for row in below]
+    lower = reduce(or_, rows, 0)  # the elements below another
+    root = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    alone, linked = [], []
+    for i in range(1, len(rows)):
+        if rows[i]:
+            top = find(i)
+            for j in bits(rows[i]):
+                root[find(j)] = top
+        elif not lower >> i & 1:
+            alone.append(weights[i])
+            continue
+        linked.append(i)
+    totals = dict.fromkeys(map(find, linked), 0)
+    for i in linked:
+        totals[find(i)] += weights[i]
+    return sorted([*totals.values(), *alone], reverse=True)
+
+
+def _incomparability_has_p4(weights: Sequence[int], below: Sequence[int]) -> bool:
+    """Whether the blow-up of the incomparability graph H of the strict order
+    of ``_heaviest_chain`` less its element 0, element i an independent set
+    of ``weights[i]`` vertices, has a path on four vertices (not necessarily
+    induced).
+
+    A connected graph has none exactly when it is a star or a triangle. So
+    H's components must be, with at most as many edges as vertices; the
+    comparable pairs, counted off ``below``, settle that nearly always.
+    Otherwise each blown-up component of two or more classes is checked: a
+    star is a tree (one edge fewer than vertices) with a vertex seeing all
+    the others, a triangle three vertices and three edges.
+    """
+    rows, q = [row & ~1 for row in below], len(below) - 1
+    if q * (q - 1) // 2 - sum(map(int.bit_count, rows)) > q:
+        return True
+    above = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            above[j] |= 1 << i
+    mask = (1 << len(rows)) - 2
+    apart = [mask & ~row & ~up & ~(1 << i) for i, (row, up) in enumerate(zip(rows, above))]
+    for members in _masked_components(apart, mask):
+        size = sum(map(weights.__getitem__, members))
+        degrees = [sum(map(weights.__getitem__, bits(apart[i]))) for i in members]
+        edges = sum(weights[i] * d for i, d in zip(members, degrees)) // 2
+        star = edges == size - 1 and size - 1 in degrees
+        if len(members) > 1 and not (star or edges == size == 3):
+            return True
+    return False
 
 
 def _twin_classes(adj: tuple[int, ...],
@@ -282,23 +350,26 @@ def _koenig_sets(adj: Sequence[int], mask: int,
 
 
 def _cover_lower_bound(adj: tuple[int, ...], mask: int,
-                       matching: tuple[list[int], list[int]] | None = None) -> tuple[int, int]:
+                       matching: tuple[list[int], list[int]] | None = None,
+                       components: int | None = None) -> tuple[int, int]:
     """A lower bound on the minimum path cover of the subgraph on ``mask``,
     and the vertex set S (a mask) that certifies it. ``matching`` is the
-    subgraph's ``_double_cover_matching``, computed here when not given.
+    subgraph's ``_double_cover_matching`` and ``components`` its number of
+    components, each computed here when not given.
 
     Orient each of a cover's r paths: its arcs are a matching of
     |mask| - r edges of the bipartite double cover, so r >= |mask| - nu.
     S = N(X), for X Koenig's set. Deleting S cuts r paths into at most
     r + |S| pieces, each inside one component of the rest, so
-    r >= c(G[mask] - S) - |S|; and every component needs a path of its own.
+    r >= c(G[mask] - S) - |S|, which is c(G[mask]) when S is empty; and
+    every component needs a path of its own.
     """
     matching = matching or _double_cover_matching(adj, mask)
     x_set, s_set = _koenig_sets(adj, mask, matching)
     unmatched = mask.bit_count() - (len(adj) - matching[0].count(-1))  # all matched lie in mask
-    lb = max(len(_masked_components(adj, mask)),
+    lb = max(components or len(_masked_components(adj, mask)),
              unmatched,
-             len(_masked_components(adj, mask & ~s_set)) - s_set.bit_count())
+             len(_masked_components(adj, mask & ~s_set)) - s_set.bit_count() if s_set else 0)
     return lb, s_set
 
 
@@ -449,7 +520,7 @@ def _sandwich(adj: tuple[int, ...], vertices: list[int]) -> tuple[int, list[list
     """
     mask = sum(1 << v for v in vertices)
     matching = _double_cover_matching(adj, mask)
-    lb = _cover_lower_bound(adj, mask, matching)[0]
+    lb = _cover_lower_bound(adj, mask, matching, components=1)[0]
     return lb, _constructed_cover(adj, vertices, matching, lb)
 
 

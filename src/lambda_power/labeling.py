@@ -6,7 +6,11 @@ The span of a labeling is max minus min label; the lambda number of a graph
 is the minimum span. This module computes it exactly by two routes (a bound
 ledger that can pin the value, and the complement path-cover reduction)
 and builds the explicit family labelings for dihedral, generalized
-quaternion and two-prime cyclic groups. The path cover returns an optimal,
+quaternion and two-prime cyclic groups. The ledger reads every bound off
+the group's cyclic-subgroup poset and builds no complement. A labeling with
+distinct labels and no edge between labels l and l + 1 is valid on any
+graph, and ``validate_l21`` accepts it without the distance-two rows; the
+family witnesses are such. The path cover returns an optimal,
 validated ``Labeling`` whose span is the lambda number. A certified lower
 bound proves that span optimal: ``check_certificate``, a small checker that
 shares no code with the solvers, accepts a witness when the bound its
@@ -29,10 +33,10 @@ from .groups import (
     make_generalized_quaternion,
 )
 from .invariants import (
+    _comparability_weights,
     _double_cover_matching,
+    _incomparability_has_p4,
     _koenig_sets,
-    cut_vertex_component_profile,
-    find_complement_p4,
     path_cover_number,
 )
 from .oracle import (
@@ -92,7 +96,10 @@ class ValidationReport:
 
 
 def validate_l21(graph: Graph, labeling: Labeling) -> ValidationReport:
-    """Check the two labeling constraints; report every violating pair."""
+    """Check the two labeling constraints; report every violating pair.
+
+    Distinct labels can break only the first, on an edge labelled l, l + 1;
+    when none is, they are accepted without the distance-two rows."""
     if len(labeling.labels) != graph.n:
         raise ValueError(
             f"labeling has {len(labeling.labels)} entries for a {graph.n}-vertex graph"
@@ -101,6 +108,9 @@ def validate_l21(graph: Graph, labeling: Labeling) -> ValidationReport:
     masks: dict[int, int] = {}  # label -> its vertices
     for v, label in enumerate(labels):
         masks[label] = masks.get(label, 0) | 1 << v
+    if len(masks) == len(labels) and not any(
+            row & masks.get(label + 1, 0) for row, label in zip(graph.adj, labels)):
+        return ValidationReport(True, ())
     violations = []
     for u, label in enumerate(labels):
         near = masks.get(label - 1, 0) | masks[label] | masks.get(label + 1, 0)
@@ -163,11 +173,15 @@ class LambdaReport:
 def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
     """Every applicable lower and upper bound on the span, tagged by source.
 
-    The clique and independence numbers come from the group's poset of
-    cyclic subgroups, each with a witness checked on the power graph, so
-    both entries are exact at every order.
+    Every entry is read off the group's poset of cyclic subgroups; no graph
+    past the power graph is built. The clique and independence numbers are
+    a chain and an antichain, each with a witness checked on the power
+    graph. Elements are adjacent iff their cyclic subgroups are nested, so
+    with subgroup 0 the identity's, the power graph less the identity blows
+    up the other subgroups' comparability graph, each a clique of its
+    generators, and the complement their incomparability graph, each an
+    independent set.
     """
-    graph = build_power_graph(g)
     n = g.order
     entries = [Bound("lower", 2 * g.power_graph_clique.value - 2, "clique")]
     if n >= 2:
@@ -176,9 +190,11 @@ def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
                          "independence"))
     if not is_cyclic_prime_power(g):
         entries.append(Bound("upper", 2 * n - 4, "not-complete"))
-    if find_complement_p4(graph) is not None:
+    sub = g._cyclic_subgroups
+    weights = list(map(int.bit_count, sub.generators))
+    if _incomparability_has_p4(weights, sub.inside):
         entries.append(Bound("upper", 2 * n - 5, "complement-p4"))
-    profile = cut_vertex_component_profile(graph, 0)  # vertex 0 is the identity
+    profile = _comparability_weights(weights, sub.inside)
     if len(profile) >= 2 and profile[0] <= sum(profile[1:]):
         entries.append(Bound("upper", n, "cut-vertex"))
     if not is_cyclic(g):

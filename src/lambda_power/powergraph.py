@@ -147,11 +147,16 @@ def complement(graph: Graph) -> Graph:
 
 
 def _masked_components(adj: tuple[int, ...], mask: int) -> list[list[int]]:
-    """Vertex sets of the components of the subgraph on ``mask``, largest first."""
+    """Vertex sets of the components of the subgraph on ``mask``, largest
+    first; an isolated vertex is settled by one row test, with no search."""
     remaining = mask
     components = []
     while remaining:
         seed = remaining & -remaining
+        if not adj[seed.bit_length() - 1] & mask:
+            components.append([seed.bit_length() - 1])
+            remaining ^= seed
+            continue
         comp = 0
         frontier = seed
         while frontier:
@@ -172,7 +177,10 @@ def connected_components(graph: Graph) -> list[list[int]]:
 
 
 def diameter_at_most_two(graph: Graph) -> bool:
-    """True when every vertex reaches every other in at most two steps."""
+    """True when every vertex reaches every other in at most two steps, at
+    once when a vertex dominates (on a power graph: the identity)."""
     full = graph.full_mask
+    if any(row | 1 << v == full for v, row in enumerate(graph.adj)):
+        return True
     return all((1 << v) | row | d2 == full
                for v, (row, d2) in enumerate(zip(graph.adj, graph.distance_two)))

@@ -535,6 +535,40 @@ def scattering_count(graph: Graph, s: int) -> int:
                count(set(range(graph.n)) - set(bits(s))) - s.bit_count())
 
 
+def double_cover_matching_size(graph: Graph) -> int:
+    """The size of a maximum matching of the bipartite double cover (left v
+    sees right u when uv is an edge), by Kuhn's augmenting paths."""
+    owner = [-1] * graph.n  # right u -> its left partner
+
+    def augment(v: int, seen: set[int]) -> bool:
+        for u in bits(graph.adj[v]):
+            if u not in seen:
+                seen.add(u)
+                if owner[u] < 0 or augment(owner[u], seen):
+                    owner[u] = v
+                    return True
+        return False
+
+    return sum(augment(v, set()) for v in range(graph.n))
+
+
+def maximal_cyclic_sets(group) -> list[frozenset[int]]:
+    """The cyclic subgroups, as element sets, that lie inside no other,
+    largest first, ties by their sorted elements: set inclusion over one
+    set per element, with no poset."""
+    subgroups = set(map(frozenset, map(bits, group._cyclic_subgroups.masks)))
+    maximal = [s for s in subgroups if not any(s < t for t in subgroups)]
+    return sorted(maximal, key=lambda s: (-len(s), sorted(s)))
+
+
+def decomposition_reference(maximal: list[frozenset[int]]) -> tuple[bool, bool]:
+    """``decomposition_conditions`` over the maximal cyclic subgroups as sets:
+    every two meet in the identity alone, and n_1 + t - 2 <= n_2 + ... + n_t."""
+    sizes = [len(s) for s in maximal]
+    return (all(a & b == {0} for a, b in combinations(maximal, 2)),
+            len(sizes) >= 2 and sizes[0] + len(sizes) - 2 <= sum(sizes[1:]))
+
+
 def _degree_order(graph: Graph) -> list[int]:
     """Vertices by descending degree, ties to the lower index."""
     return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))

@@ -30,6 +30,7 @@ from lambda_power import (
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
+    maximal_cyclic_subgroups,
     permutation_from_cycles,
     predict_lambda,
     validate_l21,
@@ -38,6 +39,7 @@ from lambda_power import invariants
 from lambda_power import labeling as labeling_module
 from lambda_power.cli import build_group, builtin_corpus, parse_group_spec
 from lambda_power.errors import InternalError, VerificationError
+from lambda_power.oracle import decomposition_conditions
 
 
 def pg(group):
@@ -491,6 +493,46 @@ def test_bound_ledger_is_exact_above_the_clique_limit(spec, omega, alpha):
     assert report.labeling.span == value
 
 
+# Corpus <= 100 and Z101..Z399, D102..D398, Q104..Q396: 778 groups.
+LEDGER_SPECS = ([spec for spec, _ in builtin_corpus(100)] + [f"Z{n}" for n in range(101, 400)]
+                + [f"D{m}" for m in range(102, 399, 2)] + [f"Q{m}" for m in range(104, 397, 4)])
+
+
+def poset_weights(g):
+    sub = g._cyclic_subgroups
+    return list(map(int.bit_count, sub.generators)), sub.inside
+
+
+def test_poset_ledger_matches_the_graph_views():
+    # the profile and the P4 verdict the ledger reads off the poset, against
+    # the identity-deleted graph's components and the complement's scan;
+    # the decomposition's masks against set inclusion over element sets
+    assert len(LEDGER_SPECS) == 778
+    for spec in LEDGER_SPECS + list(PINNED_LARGE):
+        g = build_group(parse_group_spec(spec))
+        graph = pg(g)
+        weights, inside = poset_weights(g)
+        assert invariants._comparability_weights(weights, inside) == (
+            invariants.cut_vertex_component_profile(graph, 0)), spec
+        assert invariants._incomparability_has_p4(weights, inside) == (
+            invariants.find_complement_p4(graph) is not None), spec
+        maximal = oracles.maximal_cyclic_sets(g)
+        assert maximal_cyclic_subgroups(g).subgroups == tuple(maximal), spec
+        assert decomposition_conditions(g) == oracles.decomposition_reference(maximal), spec
+
+
+@pytest.mark.parametrize("spec", ["Z15", "Q8"])
+def test_only_the_weights_find_the_complement_p4(spec):
+    # Z15's incomparable <3> and <5> are one edge of the quotient, but blow
+    # up to K(4, 2); Q8's <i>, <j>, <k> a triangle blown up to K(2, 2, 2)
+    g = build_group(parse_group_spec(spec))
+    weights, inside = poset_weights(g)
+    assert invariants.find_complement_p4(pg(g)) is not None
+    assert invariants._incomparability_has_p4(weights, inside)
+    assert not invariants._incomparability_has_p4([1] * len(weights), inside)
+    assert {b.source for b in bound_ledger(g)} >= {"complement-p4"}
+
+
 def test_lambda_exact_witness_under_every_method_and_verify_setting():
     # every exact report carries a witness of its value; every inexact one
     # is bounds-only with none
@@ -651,7 +693,8 @@ def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
     # Both are pinned by the ledger and take a family witness, which must be
     # laid on the group's own power graph rather than on a rebuilt group.
     # ``build_power_graph`` reads the group's cached graph, so count the
-    # graphs constructed: the power graph and its complement.
+    # graphs constructed: the power graph alone, as the ledger reads the
+    # poset and the witness's distinct labels need no distance-two rows.
     group = make(order)
     calls = Counter()
     for name in ("make_cyclic", "make_dihedral", "make_generalized_quaternion",
@@ -674,4 +717,4 @@ def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
     monkeypatch.setattr(Graph, "_trusted", classmethod(constructed_trusted))
     report = lambda_exact(group)
     assert report.method == "ledger" and report.labeling is not None
-    assert calls == {"Graph": 2, "validate_l21": 1}
+    assert calls == {"Graph": 1, "validate_l21": 1}

@@ -47,16 +47,29 @@ def count_graph_builds(monkeypatch) -> list:
 
 
 def test_graph_builds_per_question(monkeypatch):
-    # One power graph plus its cached complement: questions about part of
-    # the graph run on these rows instead of on re-indexed copies.
+    # The pinned D12 reads its ledger off the poset and its witness passes
+    # the distinct-labels check, so only the power graph is built. The
+    # lower-equality check adds the cached complement: questions about part
+    # of the graph run on these rows instead of on re-indexed copies.
     group = make_dihedral(12)
     built = count_graph_builds(monkeypatch)
     lambda_exact(group)
-    assert len(built) == 2
+    assert len(built) == 1
     group = make_dihedral(6)
     built.clear()
     check_lower_equality(group, 6)
     assert len(built) == 2
+
+
+def test_lambda_exact_on_d1024_builds_the_power_graph_alone(monkeypatch):
+    # the ledger builds no complement, and the family witness's distinct
+    # labels are accepted without the distance-two rows
+    group = make_dihedral(1024)
+    built = count_graph_builds(monkeypatch)
+    report = lambda_exact(group)
+    assert report.exact and report.value == 1024 and report.method == "ledger"
+    assert len(built) == 1 and built[0] is pg(group)
+    assert "complement" not in built[0].__dict__ and "distance_two" not in built[0].__dict__
 
 
 # Z8 walks <0>, <1>, <2>, <4> in that order: number = [0, 1, 2, 1, 3, 1, 2, 1]

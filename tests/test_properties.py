@@ -22,6 +22,7 @@ from oracles import (
     composed_permutation_table,
     cyclic_subgroups_of,
     delete_vertex,
+    double_cover_matching_size,
     independence_number,
     is_group_table,
     lambda_backtrack,
@@ -151,9 +152,15 @@ def test_graph_row_check_matches_per_edge_scan(rows):
 def labeled_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     rows = random_rows(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n)
-    # Few labels for many vertices, so equal and adjacent labels collide.
-    top = draw(st.integers(min_value=0, max_value=n + 2))
-    labels = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # Distinct labels, spaced by 1 or 2 and permuted: valid unless an
+        # edge takes l and l + 1, the one fault the early accept looks for.
+        gaps = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=n, max_size=n))
+        labels = draw(st.permutations([sum(gaps[:i]) for i in range(n)]))
+    else:
+        # Few labels for many vertices, so equal and adjacent labels collide.
+        top = draw(st.integers(min_value=0, max_value=n + 2))
+        labels = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=n, max_size=n))
     return Graph(tuple(rows)), labels
 
 
@@ -165,6 +172,8 @@ def test_validate_l21_matches_pair_scan(case):
     found = [(x.u, x.v, x.kind) for x in report.violations]
     assert found == reference_violations(graph, labels)
     assert report.ok == (not found) == check_l21(graph, labels)
+    if len(set(labels)) == len(labels) and report.ok:  # accepted early
+        assert "distance_two" not in graph.__dict__
 
 
 @settings(max_examples=120, deadline=None)
@@ -480,9 +489,16 @@ def test_quotient_engine_matches_brute_on_twin_blow_ups(graph):
 
 
 def assert_cover_bounds_below_brute(graph):
+    # lb is the larger of S's scattering count and the double cover's
+    # unmatched vertices, counted here by references sharing no code with it
     lb, certificate = _cover_lower_bound(graph.adj, graph.full_mask)
-    recount = scattering_count(graph, certificate)
-    assert recount <= lb <= brute_path_cover_count(graph)
+    unmatched = graph.n - double_cover_matching_size(graph)
+    assert lb == max(scattering_count(graph, certificate), unmatched)
+    assert lb <= brute_path_cover_count(graph)
+    for comp in connected_components(graph):  # as _sandwich calls it
+        mask = sum(1 << v for v in comp)
+        assert _cover_lower_bound(graph.adj, mask, components=1) == (
+            _cover_lower_bound(graph.adj, mask))
 
 
 @settings(max_examples=150, deadline=None)
@@ -611,6 +627,16 @@ def test_path_cover_is_canonical(graph):
 def test_diameter_matches_bfs(graph):
     far = any(d < 0 or d > 2 for v in range(graph.n) for d in bfs_distances(graph, v))
     assert diameter_at_most_two(graph) == (not far)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_components_match_bfs(graph):
+    # isolated vertices, settled without a search, included
+    reached = {tuple(u for u, d in enumerate(bfs_distances(graph, v)) if d >= 0)
+               for v in range(graph.n)}
+    expected = sorted(map(list, reached), key=lambda c: (-len(c), c[0]))
+    assert connected_components(graph) == expected
 
 
 @settings(max_examples=120, deadline=None)
