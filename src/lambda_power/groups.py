@@ -17,7 +17,6 @@ independence numbers. The n^2 Cayley table is built only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, isqrt, prod
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """Family tag plus parameters plus a canonical spec string."""
 
     family: str  # cyclic | dihedral | quaternion | product | permutation
@@ -102,18 +100,36 @@ class _CyclicSubgroups(NamedTuple):
     orders: tuple[int, ...]  # per element x: the order of x
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
-    """Immutable group on the indices 0..n-1, identity 0 by construction:
-    ``orders[x]`` is the order of x, ``inverses[x]`` its inverse, ``mul(a, b)``
-    the index of a*b, read through b's word, and ``table[a][b]`` the same from
-    the n^2 Cayley table, built only on first use."""
+    """Group on the indices 0..n-1, identity 0 by construction: ``orders[x]``
+    is the order of x, ``inverses[x]`` its inverse, ``mul(a, b)`` the index
+    of a*b, read through b's word, and ``table[a][b]`` the same from the n^2
+    Cayley table, built only on first use. Two groups are equal when their
+    order, inverses and descriptor are; the generator rows and the word tree
+    take no part in that or in the repr, and nothing rewrites them."""
 
-    order: int
-    inverses: tuple[int, ...]
-    descriptor: GroupDescriptor
-    _generators: Sequence[tuple[int, ...]] = field(repr=False, compare=False)
-    _tree: _Tree = field(repr=False, compare=False)
+    def __init__(self, order: int, inverses: tuple[int, ...], descriptor: GroupDescriptor,
+                 _generators: Sequence[tuple[int, ...]], _tree: _Tree):
+        self.order = order
+        self.inverses = inverses
+        self.descriptor = descriptor
+        self._generators = _generators
+        self._tree = _tree
+
+    def _key(self) -> tuple[int, tuple[int, ...], GroupDescriptor]:
+        return self.order, self.inverses, self.descriptor
+
+    def __repr__(self) -> str:
+        return (f"FiniteGroup(order={self.order!r}, inverses={self.inverses!r}, "
+                f"descriptor={self.descriptor!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def mul(self, a: int, b: int) -> int:
         return _times(self._tree, a, b)

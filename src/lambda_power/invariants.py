@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, _masked_components, bits, connected_components
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WitnessedValue:
+class WitnessedValue(NamedTuple):
     """An exact invariant plus a witness certifying it."""
 
     value: int
@@ -54,8 +52,7 @@ class WitnessedValue:
     kind: str  # clique | independent-set
 
 
-@dataclass(frozen=True)
-class PathCover:
+class PathCover(NamedTuple):
     """Vertex-disjoint paths covering every vertex of the target graph."""
 
     paths: tuple[tuple[int, ...], ...]

@@ -22,7 +22,7 @@ one place that builds a ``LambdaReport``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityExceeded, InternalError, VerificationError
 from .groups import (
@@ -71,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Vertex labels by index; span is max minus min."""
 
     labels: tuple[int, ...]
@@ -82,15 +81,13 @@ class Labeling:
         return max(self.labels) - min(self.labels) if self.labels else 0
 
 
-@dataclass(frozen=True)
-class LabelingViolation:
+class LabelingViolation(NamedTuple):
     u: int
     v: int
     kind: str  # adjacent-gap | distance2-equal
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[LabelingViolation, ...]
 
@@ -138,8 +135,7 @@ def _checked(graph: Graph, labels: list[int], expected_span: int | None = None) 
 # Reports and bounds
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     kind: str  # "lower" | "upper"
     value: int
     source: str
@@ -147,8 +143,7 @@ class Bound:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LambdaReport:
+class LambdaReport(NamedTuple):
     """Result of a span computation, with its provenance.
 
     ``exact`` distinguishes a solved instance from a bounds-only report.
@@ -243,8 +238,7 @@ def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> Lab
 # Certified lower bound
 
 
-@dataclass(frozen=True)
-class LowerCertificate:
+class LowerCertificate(NamedTuple):
     """Vertex sets proving a lower bound on the span of a graph with a
     dominating vertex (``check_certificate`` reads it).
 
@@ -318,8 +312,7 @@ def check_certificate(graph: Graph, labeling: Labeling, cert: LowerCertificate) 
 # Constructive labelings
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(NamedTuple):
     """Clique blocks C_1..C_{s+1} plus matched outside blocks A_1..A_s.
 
     Valid when the A_i are no larger than |C_i| - 1 and each A_i is totally
@@ -540,8 +533,10 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     # The ledger is already computed, so the time budget gates only the search.
     if lower == upper and (verify or method in ("auto", "ledger")):
         results["ledger"] = lower
-    if verify or method == "pathcover" or method == "auto" and not results and (
-            deadline is None or time.monotonic() <= deadline):
+    if method == "auto" and not verify and not results and (
+            deadline is not None and time.monotonic() > deadline):
+        notes.append("path-cover unavailable: time budget exhausted before the search")
+    elif verify or method == "pathcover" or method == "auto" and not results:
         try:
             witness = lambda_via_path_cover(graph, deadline=deadline)
         except CapacityExceeded as exc:

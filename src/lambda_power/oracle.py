@@ -9,7 +9,7 @@ a fixed order is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityExceeded, InternalError
 from .groups import (
@@ -124,8 +124,7 @@ def decomposition_conditions(g: FiniteGroup) -> tuple[bool, bool]:
     return eq_intersections, eq_sizes
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Closed-form span prediction; value is None when no rule matched."""
 
     value: int | None
@@ -189,8 +188,7 @@ def classify_alpha2(g: FiniteGroup) -> bool:
     return two_prime_cyclic_params(g) is not None
 
 
-@dataclass(frozen=True)
-class EqualityCheck:
+class EqualityCheck(NamedTuple):
     """Consistency verdict for the span-equals-order characterization.
 
     ok is None when the Hamilton search was inconclusive. When the span
@@ -221,8 +219,7 @@ def check_lower_equality(g: FiniteGroup, lam: int) -> EqualityCheck:
                          "punctured complement is traceable")
 
 
-@dataclass(frozen=True)
-class UpperCheck:
+class UpperCheck(NamedTuple):
     """Consistency verdict for the near-complete upper bound classification."""
 
     ok: bool

@@ -12,7 +12,6 @@ checked one edge at a time; the power graph, a complement and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -39,9 +38,9 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph, given by its adjacency rows.
+    """Simple graph, given by its adjacency rows, equal to another when the
+    rows are; nothing rewrites ``adj`` after construction.
 
     ``Graph(rows)`` checks the rows: below n, loop-free, and symmetric, per
     edge; the first bad (v, u) is the lowest u of row v that does not see v.
@@ -49,9 +48,23 @@ class Graph:
     a complement and ``from_edges``) skip the check through ``_trusted``.
     """
 
-    adj: tuple[int, ...]
+    def __init__(self, adj: tuple[int, ...]):
+        self.adj = adj
+        self.__post_init__()
+
+    def __repr__(self) -> str:
+        return f"Graph(adj={self.adj!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.adj,))
 
     def __post_init__(self):
+        """The row check ``Graph(rows)`` runs."""
         n = len(self.adj)
         for v, row in enumerate(self.adj):
             if row >> n:
@@ -103,7 +116,7 @@ class Graph:
     def _trusted(cls, adj: tuple[int, ...]) -> Graph:
         """A graph on rows already known to pass the construction check."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "adj", adj)
+        graph.adj = adj
         return graph
 
     @cached_property

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -225,6 +228,24 @@ def test_cmd_lambda_rejects_a_negative_budget(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --budget-ms must be at least 0, got -5\n"
+
+
+def test_cmd_lambda_names_a_budget_spent_before_the_search(capsys):
+    code, out, err = run(capsys, "lambda", "Z30", "--budget-ms", "0", "--json")
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["exact"] is False and payload["methods_run"] == []
+    assert payload["notes"] == ["path-cover unavailable: time budget exhausted before the search"]
+
+
+def test_cli_imports_without_dataclasses_or_inspect():
+    # Every record is a NamedTuple or a plain class, so a CLI call pays for
+    # neither module; -S keeps site hooks from importing them first.
+    probe = ("import sys; sys.path.insert(0, 'src'); import lambda_power.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parents[1], check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [("lambda", "Z6", "--dp-limit", "5"),

@@ -67,6 +67,17 @@ def test_dihedral_structure():
     assert sum(1 for o in d6.orders if o == 3) == 2
 
 
+def test_groups_compare_and_hash_by_order_inverses_and_descriptor():
+    first, second = make_dihedral(12), make_dihedral(12)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != make_cyclic(12) and first != make_dihedral(14)
+    text = repr(first)
+    assert text.startswith("FiniteGroup(order=12, inverses=")
+    assert text.endswith("descriptor=GroupDescriptor(family='dihedral', params=(12,), "
+                         "name='D12'))")
+    assert "_generators" not in text and "_tree" not in text
+
+
 def test_dihedral_eight_involutions():
     d8 = make_dihedral(8)
     assert sum(1 for o in d8.orders if o == 2) == 5  # 4 reflections + a^2

@@ -1,7 +1,6 @@
 """Labeling validation, exact span solvers and the constructive labelings."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -186,9 +185,9 @@ def test_certificate_rejects_a_vertex_dropped_from_the_cut(spec):
     # on these only the scattering term c(G' - S) - |S| reaches the span
     graph, witness, cert = certified(spec)
     assert check_certificate(graph, witness, cert) == witness.span
-    assert check_certificate(graph, witness, replace(cert, cut=())) < witness.span
+    assert check_certificate(graph, witness, cert._replace(cut=())) < witness.span
     for v in cert.cut:
-        dropped = replace(cert, cut=tuple(u for u in cert.cut if u != v))
+        dropped = cert._replace(cut=tuple(u for u in cert.cut if u != v))
         assert check_certificate(graph, witness, dropped) < witness.span
 
 
@@ -216,9 +215,9 @@ def test_certificate_rejects_a_clique_with_a_non_edge():
     stranger = next(v for v in range(graph.n) if v not in cert.clique
                     and not all(graph.adjacent(v, u) for u in cert.clique[1:]))
     assert check_certificate(graph, witness,
-                             replace(cert, clique=(stranger, *cert.clique[1:]))) is None
-    assert check_certificate(graph, witness, replace(cert, clique=(graph.n,))) is None
-    assert check_certificate(graph, witness, replace(cert, cut=(-1,))) is None
+                             cert._replace(clique=(stranger, *cert.clique[1:]))) is None
+    assert check_certificate(graph, witness, cert._replace(clique=(graph.n,))) is None
+    assert check_certificate(graph, witness, cert._replace(cut=(-1,))) is None
 
 
 def test_certificate_rejects_a_graph_with_no_dominating_vertex():
@@ -238,7 +237,7 @@ def test_certificate_rejects_a_graph_with_no_dominating_vertex():
 def test_verify_notes_a_certified_bound_below_the_span(monkeypatch):
     real = labeling_module.lower_certificate
     monkeypatch.setattr(labeling_module, "lower_certificate",
-                        lambda g: replace(real(g), cut=()))
+                        lambda g: real(g)._replace(cut=()))
     report = lambda_exact(build_group(parse_group_spec("Z2xZ2xZ5")), verify=True)
     assert report.exact and report.value == 21
     assert report.methods_run == ("path-cover",)
@@ -663,6 +662,13 @@ def test_lambda_exact_never_raises_capacity(monkeypatch):
                 report = lambda_exact(g, method=method, verify=verify, budget_ms=0)
                 assert report.order == g.order
                 assert report.exact == (report.value is not None)
+
+
+def test_a_budget_spent_before_the_search_gives_its_reason():
+    report = lambda_exact(make_cyclic(30), budget_ms=0)
+    assert not report.exact and report.method == "bounds-only"
+    assert report.methods_run == ()
+    assert report.notes == ("path-cover unavailable: time budget exhausted before the search",)
 
 
 def test_negative_budget_is_rejected_before_any_work(monkeypatch):

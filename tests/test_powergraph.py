@@ -232,6 +232,17 @@ def test_graph_validation():
         Graph((0b01,))  # self-loop
 
 
+def test_graph_has_value_equality_and_a_field_repr():
+    from lambda_power import InternalError
+    graph = Graph((2, 1))
+    assert repr(graph) == "Graph(adj=(2, 1))"
+    assert graph == Graph(adj=(2, 1)) == Graph.from_edges(2, [(0, 1)])
+    assert hash(graph) == hash(Graph((2, 1))) == hash(Graph.from_edges(2, [(0, 1)]))
+    assert graph != Graph((0, 0)) and graph != (2, 1)
+    with pytest.raises(InternalError, match=r"not symmetric at \(0, 1\)"):
+        Graph((2, 0))
+
+
 def test_from_edges_rejects_bad_edge():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])

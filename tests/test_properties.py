@@ -2,7 +2,6 @@
 
 import contextlib
 import random
-from dataclasses import replace
 from functools import reduce
 from unittest import mock
 
@@ -609,7 +608,7 @@ def test_certified_bound_is_sound_for_any_cut(graph, data):
     cert = LowerCertificate(tuple(sorted(cut)), clique_number(graph).witness)
     assert check_certificate(graph, best, cert) <= best.span == brute_lambda(graph)
     package_cut = _cover_lower_bound(graph.complement.adj, graph.full_mask)[1]
-    cert = replace(cert, cut=tuple(bits(package_cut)))
+    cert = cert._replace(cut=tuple(bits(package_cut)))
     assert check_certificate(graph, best, cert) <= best.span
 
 
