@@ -17,14 +17,20 @@ independence numbers. The n^2 Cayley table is built only when asked for.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain
 from math import gcd, isqrt, prod
 from operator import itemgetter, or_
 from typing import NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
-from .invariants import WitnessedValue, _checked_witness, _heaviest_chain, _widest_antichain
+from .invariants import (
+    WitnessedValue,
+    _checked_witness,
+    _comparability_weights,
+    _heaviest_chain,
+    _widest_antichain,
+)
 from .powergraph import Graph, bits
 
 DEFAULT_MAX_ORDER = 10000
@@ -148,10 +154,17 @@ class FiniteGroup:
         return _table(self._generators)
 
     @cached_property
+    def _poset(self) -> _CyclicSubgroups:
+        """The cyclic-subgroup record, once `_check_poset` passes it; checked
+        once, the first time the ledger, the clique, the antichain or the
+        power graph reads it."""
+        return _check_poset(self._cyclic_subgroups, self.order)
+
+    @cached_property
     def _power_graph(self) -> Graph:
-        """x != y adjacent iff one is a power of the other; built once, from
-        the rows `_power_rows` reads off the checked cyclic-subgroup poset."""
-        rows = _power_rows(self._cyclic_subgroups, self.order)
+        """x != y adjacent iff one is a power of the other; built once, the
+        rows `_neighbours` reads off the checked cyclic-subgroup poset."""
+        rows = tuple(_neighbours(self._poset))
         if self.order >= 2 and rows[0] != (1 << self.order) - 2:
             raise InternalError("identity must be adjacent to every other element")
         return Graph._trusted(rows)
@@ -162,10 +175,10 @@ class FiniteGroup:
         adjacent iff their cyclic subgroups are nested, and the generators of
         one subgroup are pairwise adjacent, so a maximum clique is every
         generator of a chain of cyclic subgroups whose generator counts have
-        the greatest sum. Its witness is checked against the graph's rows."""
-        sub = self._cyclic_subgroups
+        the greatest sum. Each member is checked against its own row."""
+        sub = self._poset
         value, chain = _heaviest_chain(list(map(int.bit_count, sub.generators)), sub.inside)
-        return _checked_witness(self._power_graph.adj, value,
+        return _checked_witness(partial(_neighbours, sub), value,
                                 sum(map(sub.generators.__getitem__, chain)), "clique")
 
     @cached_property
@@ -173,18 +186,27 @@ class FiniteGroup:
         """A maximum independent set of the power graph; computed once. It
         holds at most one generator per cyclic subgroup, of subgroups pairwise
         not nested, so it is one generator of each subgroup of a widest
-        antichain. Its witness is checked against the graph's rows."""
-        sub = self._cyclic_subgroups
+        antichain. Each member is checked against its own row."""
+        sub = self._poset
         value, antichain = _widest_antichain(sub.inside)
         witness = sum(sub.generators[i] & -sub.generators[i] for i in antichain)  # distinct bits
-        return _checked_witness(self._power_graph.adj, value, witness, "independent-set")
+        return _checked_witness(partial(_neighbours, sub), value, witness, "independent-set")
+
+    @cached_property
+    def _comparability(self) -> tuple[int, list[tuple[int, list[int]]]]:
+        """The dominating vertices of the power graph, those whose cyclic
+        subgroup is comparable to every other, counted, and the components of
+        the graph less them, each its size and its cyclic subgroups, largest
+        first (`_comparability_weights`); computed once."""
+        sub = self._poset
+        return _comparability_weights(list(map(int.bit_count, sub.generators)), sub.inside)
 
     @cached_property
     def maximal_cyclic_subgroups(self) -> MaximalCyclicDecomposition:
         """All cyclic subgroups maximal under inclusion, those inside no other;
         built once. They cover the group, so they meet only in e iff
         sum(size - 1) = n - 1."""
-        _, masks, _, _, inside, _ = self._cyclic_subgroups
+        _, masks, _, _, inside, _ = self._poset
         covered = reduce(or_, inside, 0)
         maximal = tuple(m for i, m in enumerate(masks) if not covered >> i & 1)
         sizes = tuple(sorted(map(int.bit_count, maximal), reverse=True))
@@ -326,16 +348,14 @@ def _power_walks(tree: _Tree, inverses: Sequence[int]) -> _CyclicSubgroups:
     return _CyclicSubgroups(number, masks, generators, above, inside, tuple(orders))
 
 
-def _power_rows(sub: _CyclicSubgroups, n: int) -> tuple[int, ...]:
-    """The power graph's rows, row x <x> plus the generators of every cyclic
-    subgroup containing <x>, less x, once the record they come from passes
-    a check of about n + q^2 big-int steps for q subgroups: the generators
-    partition range(n) as ``number`` says; each ``inside`` row is a strict
-    order (in range, irreflexive and transitive, hence antisymmetric), as
-    `_heaviest_chain` and `_widest_antichain` assume; ``masks[i]`` is the
-    generators of i and of the subgroups inside it, ``above[i]`` those of i
-    and of the subgroups containing it. Then y != x is in row x iff <x> and
-    <y> are nested, so the rows are below n, loop-free and symmetric."""
+def _check_poset(sub: _CyclicSubgroups, n: int) -> _CyclicSubgroups:
+    """The record, once it passes a check of about n + q^2 big-int steps for
+    q subgroups: the generators partition range(n) as ``number`` says; each
+    ``inside`` row is a strict order (in range, irreflexive and transitive,
+    hence antisymmetric), as `_heaviest_chain` and `_widest_antichain`
+    assume; ``masks[i]`` is the generators of i and of the subgroups inside
+    it, ``above[i]`` those of i and of the subgroups containing it. Then
+    `_neighbours` gives rows below n, loop-free and symmetric."""
     number, masks, generators, above, inside, _ = sub
     q = len(generators)
     if (len(number) != n or sum(map(int.bit_count, generators)) != n
@@ -353,7 +373,17 @@ def _power_rows(sub: _CyclicSubgroups, n: int) -> tuple[int, ...]:
         raise InternalError("a cyclic subgroup is not its generators and those inside it")
     if containing != above:
         raise InternalError("a cyclic subgroup's row above is not the generators containing it")
-    return tuple((masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(number))
+    return sub
+
+
+def _neighbours(sub: _CyclicSubgroups, elements: Sequence[int] | None = None) -> list[int]:
+    """The power graph's rows of the elements, of all when None: row x is <x>
+    plus the generators of every cyclic subgroup containing <x>, less x. On
+    a checked record, y != x is in it iff <x> and <y> are nested."""
+    number, masks, above = sub.number, sub.masks, sub.above
+    pairs = enumerate(number) if elements is None else (
+        zip(elements, map(number.__getitem__, elements)))
+    return [(masks[i] | above[i]) & ~(1 << x) for x, i in pairs]
 
 
 def _table(generators: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -429,9 +459,9 @@ def _index_two_generators(n: int, shift: int) -> list[tuple[int, ...]]:
     """The rows of x and y, with x^i at index i and x^i*y at n + i, x^n = e,
     y x y^-1 = x^-1 and y^2 = x^shift: x * x^j (y) = x^(j+1) (y), y * x^j =
     x^-j y and y * x^j y = x^(shift-j)."""
-    step = tuple(range(1, n)) + (0,)
-    x = step + tuple(n + i for i in step)
-    y = tuple(n + (-j) % n for j in range(n)) + tuple((shift - j) % n for j in range(n))
+    x = tuple(range(1, n)) + (0,) + tuple(range(n + 1, 2 * n)) + (n,)
+    y = ((n,) + tuple(range(2 * n - 1, n, -1))  # x^-j y for j = 0, 1, ..., n - 1
+         + tuple(range(shift, -1, -1)) + tuple(range(n - 1, shift, -1)))  # x^(shift-j)
     return [x, y]
 
 
@@ -571,7 +601,7 @@ def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
     """The element set of <x>; its size equals the order of x."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} out of range for order-{g.order} group")
-    number, masks, *_ = g._cyclic_subgroups
+    number, masks, *_ = g._poset
     return frozenset(bits(masks[number[x]]))
 
 

@@ -13,8 +13,9 @@ set that no outside row reaches, and answers in the graph's own indices.
 A power graph's clique and independence numbers need no search: its group
 reads them off a chain and an antichain of its cyclic subgroups, with the
 poset routines and the witness check here. The bound ledger reads two more
-answers off the same poset: the components of the graph less the identity,
-and whether the complement has a path on four vertices.
+answers off the same poset: the dominating vertices and the components of
+the graph less them, and whether the complement has a path on four
+vertices.
 ``cut_vertex_component_profile`` and ``find_complement_p4`` answer both on
 the graph itself, for the ``invariants`` command and as test references.
 """
@@ -25,8 +26,8 @@ import math
 import time
 from array import array
 from functools import reduce
-from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter, or_
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, _masked_components, bits, connected_components
@@ -62,15 +63,17 @@ class PathCover(NamedTuple):
         return len(self.paths)
 
 
-def _checked_witness(adj: Sequence[int], value: int, witness: int,
+def _checked_witness(rows: Callable[[list[int]], list[int]], value: int, witness: int,
                      kind: str) -> WitnessedValue:
-    """``value`` with its witness mask, once the witness is checked on the
-    graph's rows to be a clique (kind "clique") or an independent set of
-    exactly ``value`` vertices: a wrong value cannot pass as a bound."""
+    """``value`` with its witness mask, once the witness is checked to be a
+    clique (kind "clique") or an independent set of exactly ``value``
+    vertices, each member against its own adjacency row, ``rows(members)``
+    giving the members' rows: a wrong value cannot pass as a bound."""
     members = list(bits(witness))
     clique = kind == "clique"
-    for v in members:  # a clique member sees the rest, an independent one none
-        if adj[v] & witness != (witness ^ 1 << v if clique else 0):
+    # a clique member sees the rest, an independent one none
+    for v, row in zip(members, rows(members)):
+        if row & witness != (witness ^ 1 << v if clique else 0):
             break
     else:
         if len(members) == value:
@@ -114,13 +117,41 @@ def _widest_antichain(below: Sequence[int]) -> tuple[int, list[int]]:
     return matching[0].count(-1), list(bits(x_set & ~s_set))
 
 
-def _comparability_weights(weights: Sequence[int], below: Sequence[int]) -> list[int]:
-    """The total weights of the components of the comparability graph of the
-    strict order of ``_heaviest_chain`` less its element 0, descending. An
-    element comparable to none is a component of its own; the rest are
-    joined by one union per pair j < i, as few as the order is sparse."""
+def _comparability_weights(weights: Sequence[int], below: Sequence[int]
+                           ) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The comparability graph of the strict order of ``_heaviest_chain``,
+    element i blown up to ``weights[i]`` vertices, split at its element 0
+    and every element comparable to all the others: their total weight d,
+    and the components of the rest, each its total weight and its elements,
+    heaviest first.
+
+    An element comparable to none is a component of its own; the rest are
+    joined by one union per pair j < i, as few as the order is sparse, and
+    the same pass counts each element's comparable pairs. An element other
+    than 0 comparable to all joins every other, so only when one component
+    is left are those looked for, and a second pass joins the rest."""
     rows = [row & ~1 for row in below]
-    lower = reduce(or_, rows, 0)  # the elements below another
+    comparable = list(map(int.bit_count, rows))  # completed by the pass
+    parts = _joined(weights, rows, comparable)
+    if len(parts) > 1:
+        return weights[0], parts
+    q = len(rows)
+    top = sum(1 << i for i in range(1, q) if comparable[i] == q - 2)
+    if top == (1 << q) - 2:  # a chain: every element is comparable to all
+        return sum(weights), []
+    if top:
+        rest = [0 if top >> i & 1 else row & ~top for i, row in enumerate(rows)]
+        parts = _joined(weights, rest, comparable, top)
+    return weights[0] + sum(map(weights.__getitem__, bits(top))), parts
+
+
+def _joined(weights: Sequence[int], rows: list[int], comparable: list[int],
+            skip: int = 0) -> list[tuple[int, list[int]]]:
+    """The components of the comparability graph on the elements 1.. of the
+    strict order ``rows`` outside ``skip``, whose rows are 0 and in no other
+    row, as `_comparability_weights` returns them; ``comparable[j]`` gains
+    one for each pair j < i joined."""
+    lower = reduce(or_, rows, skip)  # the elements below another, and skip
     root = list(range(len(rows)))
 
     def find(i: int) -> int:
@@ -128,20 +159,25 @@ def _comparability_weights(weights: Sequence[int], below: Sequence[int]) -> list
             root[i] = i = root[root[i]]
         return i
 
-    alone, linked = [], []
+    parts, linked = [], []
     for i in range(1, len(rows)):
-        if rows[i]:
+        row = rows[i]
+        if row:
             top = find(i)
-            for j in bits(rows[i]):
+            for j in bits(row):
                 root[find(j)] = top
+                comparable[j] += 1
+            linked.append(i)
         elif not lower >> i & 1:
-            alone.append(weights[i])
-            continue
-        linked.append(i)
-    totals = dict.fromkeys(map(find, linked), 0)
+            parts.append((weights[i], [i]))  # comparable to none
+        elif not skip >> i & 1:
+            linked.append(i)
+    members: dict[int, list[int]] = {}
     for i in linked:
-        totals[find(i)] += weights[i]
-    return sorted([*totals.values(), *alone], reverse=True)
+        members.setdefault(find(i), []).append(i)
+    parts += [(sum(map(weights.__getitem__, part)), part) for part in members.values()]
+    parts.sort(key=itemgetter(0), reverse=True)
+    return parts
 
 
 def _incomparability_has_p4(weights: Sequence[int], below: Sequence[int]) -> bool:

@@ -7,10 +7,12 @@ is the minimum span. This module computes it exactly by two routes (a bound
 ledger that can pin the value, and the complement path-cover reduction)
 and builds the explicit family labelings for dihedral, generalized
 quaternion and two-prime cyclic groups. The ledger reads every bound off
-the group's cyclic-subgroup poset and builds no complement. A labeling with
+the group's cyclic-subgroup poset and builds no graph. A labeling with
 distinct labels and no edge between labels l and l + 1 is valid on any
 graph, and ``validate_l21`` accepts it without the distance-two rows; the
-family witnesses are such. The path cover returns an optimal,
+family witnesses are such. A ledger-pinned value takes such a witness off
+the poset too, checked by the same rule with adjacency read off the poset,
+so no graph is built for it. The path cover returns an optimal,
 validated ``Labeling`` whose span is the lambda number. A certified lower
 bound proves that span optimal: ``check_certificate``, a small checker that
 shares no code with the solvers, accepts a witness when the bound its
@@ -27,13 +29,13 @@ from typing import NamedTuple
 from .errors import CapacityExceeded, InternalError, VerificationError
 from .groups import (
     FiniteGroup,
+    _generators,
     is_prime,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
 )
 from .invariants import (
-    _comparability_weights,
     _double_cover_matching,
     _incomparability_has_p4,
     _koenig_sets,
@@ -168,14 +170,22 @@ class LambdaReport(NamedTuple):
 def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
     """Every applicable lower and upper bound on the span, tagged by source.
 
-    Every entry is read off the group's poset of cyclic subgroups; no graph
-    past the power graph is built. The clique and independence numbers are
-    a chain and an antichain, each with a witness checked on the power
-    graph. Elements are adjacent iff their cyclic subgroups are nested, so
-    with subgroup 0 the identity's, the power graph less the identity blows
-    up the other subgroups' comparability graph, each a clique of its
-    generators, and the complement their incomparability graph, each an
-    independent set.
+    Every entry is read off the group's poset of cyclic subgroups, checked
+    first; no graph is built. The clique and independence numbers are a
+    chain and an antichain, each member of its witness checked against its
+    own row. Elements are adjacent iff their cyclic subgroups are nested, so
+    the dominating set D, every element whose subgroup is comparable to all
+    the others, holds the identity, and the power graph less D blows up the
+    other subgroups' comparability graph, each a clique of its generators,
+    and the complement their incomparability graph, each an independent set.
+
+    D is isolated in the complement G', so a cover of G' takes at least
+    d = |D| paths, one more when D is not everything, and the span is
+    n + r - 2 for r >= 2 paths: the ``order`` (d = 1) or ``dominating``
+    lower bound n + d - 1. When no component of the graph less D outweighs
+    the rest, interleaving the components is one path of G' through them,
+    so r = d + 1 and the ``cut-vertex`` (d = 1) or ``cut-set`` upper bound
+    is n + d - 1 too.
     """
     n = g.order
     entries = [Bound("lower", 2 * g.power_graph_clique.value - 2, "clique")]
@@ -185,18 +195,26 @@ def bound_ledger(g: FiniteGroup) -> tuple[Bound, ...]:
                          "independence"))
     if not is_cyclic_prime_power(g):
         entries.append(Bound("upper", 2 * n - 4, "not-complete"))
-    sub = g._cyclic_subgroups
-    weights = list(map(int.bit_count, sub.generators))
-    if _incomparability_has_p4(weights, sub.inside):
+    sub = g._poset
+    if _incomparability_has_p4(list(map(int.bit_count, sub.generators)), sub.inside):
         entries.append(Bound("upper", 2 * n - 5, "complement-p4"))
-    profile = _comparability_weights(weights, sub.inside)
-    if len(profile) >= 2 and profile[0] <= sum(profile[1:]):
-        entries.append(Bound("upper", n, "cut-vertex"))
+    d, parts = g._comparability
+    if d >= 2 and parts:
+        entries.append(Bound("lower", n + d - 1, "dominating"))
+    if _interleaved(n, d, parts):
+        entries.append(Bound("upper", n + d - 1, "cut-vertex" if d == 1 else "cut-set"))
     if not is_cyclic(g):
         trivially_meeting, balanced = decomposition_conditions(g)
         if trivially_meeting and balanced:
             entries.append(Bound("upper", n, "cyclic-decomposition"))
     return tuple(entries)
+
+
+def _interleaved(n: int, d: int, parts: list[tuple[int, list[int]]]) -> bool:
+    """Whether the complement has one path through the power graph less its
+    d dominating vertices: two or more components, none heavier than the
+    rest (together they weigh n - d)."""
+    return len(parts) >= 2 and 2 * parts[0][0] <= n - d
 
 
 def _bound_window(bounds: tuple[Bound, ...]) -> tuple[int, int]:
@@ -480,24 +498,73 @@ def construct_zpqn_labeling(p: int, q: int, n: int) -> Labeling:
 # Orchestration
 
 
-def _family_witness(g: FiniteGroup, graph: Graph) -> Labeling | None:
-    """Constructive witness on ``g``'s power graph, in the constructor's layout.
-
-    Only descriptor families built by this package's constructors are
-    eligible; structurally recognized but foreign-indexed groups fall back
-    to the path-cover witness.
-    """
+def _family_labels(g: FiniteGroup) -> list[int] | None:
+    """The constructive labels for ``g``, in its constructor's layout. Only
+    descriptor families whose generator rows are the ones this package's
+    constructors lay out are eligible; a group built on other rows under a
+    family's descriptor gets a poset or path-cover witness instead."""
     family = g.descriptor.family
+    if family not in ("cyclic", "dihedral", "quaternion") or (
+            g._generators != _generators(g.descriptor)):
+        return None
     params = two_prime_cyclic_params(g) if family == "cyclic" else None
     if params is not None:
-        labels, span = _zpqn_labels(g, *params)
-    elif family == "dihedral":
-        labels, span = _dihedral_labels(g.order // 2)
-    elif family == "quaternion":
-        labels, span = _quaternion_labels(g.order // 4)
-    else:
+        return _zpqn_labels(g, *params)[0]
+    if family == "dihedral":
+        return _dihedral_labels(g.order // 2)[0]
+    if family == "quaternion":
+        return _quaternion_labels(g.order // 4)[0]
+    return None
+
+
+def _poset_witness(g: FiniteGroup) -> Labeling | None:
+    """A labeling read off ``g``'s cyclic-subgroup poset, with no graph
+    built: the family construction, else labels 2v when every vertex
+    dominates (a complete graph), else, when no component of the graph less
+    the dominating set D outweighs the rest, D on 0, 2, ..., 2(d - 1) and
+    the components interleaved on 2d, 2d + 1, ... (span n + d - 1). None
+    when none applies. Each is accepted by `_accepted_on_poset`."""
+    n, (d, parts) = g.order, g._comparability
+    labels = _family_labels(g)
+    if labels is not None:
+        return _accepted_on_poset(g, Labeling(tuple(labels)))
+    if not parts:
+        return _accepted_on_poset(g, Labeling(tuple(range(0, 2 * n, 2))))
+    if not _interleaved(n, d, parts):
         return None
-    return _checked(graph, labels, expected_span=span)
+    number, generators = g._poset.number, g._poset.generators
+    outside = {i for _, members in parts for i in members}
+    labels = [0] * n
+    dominating = (x for x in range(n) if number[x] not in outside)
+    for label, x in zip(range(0, 2 * d, 2), dominating):
+        labels[x] = label
+    # The heaviest part first, on every other place, then the rest: no two
+    # neighbours on the path share a part, as none outweighs the others.
+    path = [x for _, members in parts for i in members for x in bits(generators[i])]
+    order = list(range(0, n - d, 2)) + list(range(1, n - d, 2))
+    for place, x in zip(order, path):
+        labels[x] = 2 * d + place
+    return _accepted_on_poset(g, Labeling(tuple(labels)))
+
+
+def _accepted_on_poset(g: FiniteGroup, labeling: Labeling) -> Labeling:
+    """The labeling, once ``validate_l21``'s rule accepts it with adjacency
+    read off ``g``'s poset: distinct labels, and no two vertices on l and
+    l + 1 whose cyclic subgroups are nested. Otherwise the graph is built
+    and ``validate_l21``'s violations are raised as an InternalError."""
+    labels = labeling.labels
+    vertex = dict(zip(labels, range(len(labels))))  # label -> its vertex
+    number, inside = g._poset.number, g._poset.inside
+    if len(vertex) == len(labels):
+        for x, label in enumerate(labels):
+            y = vertex.get(label + 1)
+            if y is not None and (number[x] == number[y] or inside[number[x]] >> number[y] & 1
+                                  or inside[number[y]] >> number[x] & 1):
+                break
+        else:
+            return labeling
+    report = validate_l21(build_power_graph(g), labeling)
+    raise InternalError(f"constructed labeling is invalid: {report.violations[:3]}")
 
 
 def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
@@ -505,13 +572,17 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
                  budget_ms: int | None = None) -> LambdaReport:
     """Exact span of the power graph of ``g`` with witness and provenance.
 
-    Strategy cascade for ``method="auto"``: a pinned bound ledger wins, then
-    the path-cover reduction. ``verify=True`` runs both and raises
-    VerificationError on disagreement; it then checks the path-cover
-    witness against the certified lower bound (``check_certificate``), at
-    every order, and records ``"certificate"`` in ``methods_run`` when the
-    bound meets the witness's span. A bound below it leaves a note, one
-    above it (a sound bound above a valid labeling) raises InternalError.
+    Strategy cascade for ``method="auto"``: a pinned bound ledger wins, with
+    a witness read off the poset (`_poset_witness`), then the path-cover
+    reduction. The power graph is built only for the path cover, for
+    ``verify`` and for a pinned value no poset witness fits. An unpinned
+    ``method="ledger"`` notes the bounds that do not meet. ``verify=True``
+    runs both and raises VerificationError on disagreement; it then checks
+    the path-cover witness against the certified lower bound
+    (``check_certificate``), at every order, and records ``"certificate"``
+    in ``methods_run`` when the bound meets the witness's span. A bound
+    below it leaves a note, one above it (a sound bound above a valid
+    labeling) raises InternalError.
     When no method fits the limits the report is bounds-only with
     ``exact=False``; refusals go to ``notes``, so CapacityExceeded is never
     raised.
@@ -522,9 +593,8 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
         raise ValueError(f"budget_ms must be at least 0, got {budget_ms}")
     started = time.monotonic()
     deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
-    graph = build_power_graph(g)
+    bounds = bound_ledger(g)  # checks the poset before anything else reads it
     prediction = predict_lambda(g)
-    bounds = bound_ledger(g)
     lower, upper = _bound_window(bounds)
     notes: list[str] = []
     results: dict[str, int] = {}
@@ -533,12 +603,14 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     # The ledger is already computed, so the time budget gates only the search.
     if lower == upper and (verify or method in ("auto", "ledger")):
         results["ledger"] = lower
+    elif method == "ledger":
+        notes.append(f"ledger: bounds do not meet (lower {lower}, upper {upper})")
     if method == "auto" and not verify and not results and (
             deadline is not None and time.monotonic() > deadline):
         notes.append("path-cover unavailable: time budget exhausted before the search")
     elif verify or method == "pathcover" or method == "auto" and not results:
         try:
-            witness = lambda_via_path_cover(graph, deadline=deadline)
+            witness = lambda_via_path_cover(build_power_graph(g), deadline=deadline)
         except CapacityExceeded as exc:
             notes.append(f"path-cover unavailable: {exc}")
         else:
@@ -549,7 +621,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
             f"methods disagree for {g.descriptor.name}: {results}", values=results
         )
     if verify and witness is not None:
-        certified = check_certificate(graph, witness, lower_certificate(g))
+        certified = check_certificate(build_power_graph(g), witness, lower_certificate(g))
         if certified is None or certified > witness.span:
             raise InternalError(
                 f"certificate checker gives {certified} on a validated witness "
@@ -567,11 +639,10 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     if value is not None and not with_witness:
         notes.append("witness omitted on request")
     elif value is not None:
-        labeling = witness or _family_witness(g, graph)
+        labeling = witness or _poset_witness(g)
         if labeling is None:
-            # A complete power graph's edgeless complement gives labels 2v.
             try:
-                labeling = lambda_via_path_cover(graph, deadline=deadline)
+                labeling = lambda_via_path_cover(build_power_graph(g), deadline=deadline)
             except CapacityExceeded as exc:
                 notes.append(f"witness unavailable: {exc}")
             else:
@@ -580,7 +651,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
                         f"path-cover witness disagrees for {g.descriptor.name}",
                         values={"ledger": value, "path-cover": labeling.span},
                     )
-        # Every producer above validated its labeling on this graph.
+        # Every producer above validated its labeling, on the graph or the poset.
         if labeling is not None and labeling.span != value:
             raise InternalError("witness span disagrees with the computed value")
 

@@ -94,7 +94,7 @@ def _index_two_cyclic(g: FiniteGroup, outside_order: int) -> bool:
     rotation = next((x for x in range(n) if g.orders[x] == n // 2), None)
     if rotation is None:
         return False
-    number, masks, *_ = g._cyclic_subgroups
+    number, masks, *_ = g._poset
     inside = format(masks[number[rotation]], f"0{n}b")[::-1]  # character x is bit x
     return {o for o, bit in zip(g.orders, inside) if bit == "0"} <= {outside_order}
 

@@ -90,11 +90,26 @@ def brute_hamilton_exists(graph: Graph) -> bool:
 
 
 def brute_path_cover_count(graph: Graph) -> int:
-    """Minimum block count over all set partitions with path-orderable blocks."""
-    n = graph.n
-    if n == 0:
-        return 0
+    """Minimum block count over all set partitions with path-orderable
+    blocks, summed over the connected components: no path leaves one."""
     adj = adjacency_sets(graph)
+    total, seen = 0, set()
+    for start in range(graph.n):
+        if start not in seen:
+            component, frontier = {start}, [start]
+            while frontier:
+                new = adj[frontier.pop()] - component
+                component |= new
+                frontier.extend(new)
+            seen |= component
+            total += _brute_cover(sorted(component), adj)
+    return total
+
+
+def _brute_cover(vertices: list[int], adj: list[set[int]]) -> int:
+    """Minimum block count over all set partitions of ``vertices`` whose
+    blocks are path-orderable."""
+    n = len(vertices)
     orderable: dict[frozenset[int], bool] = {}
 
     def block_ok(block: frozenset[int]) -> bool:
@@ -121,20 +136,20 @@ def brute_path_cover_count(graph: Graph) -> int:
 
     best = n  # singletons always work
 
-    def assign(v: int, blocks: list[set[int]]) -> None:
+    def assign(i: int, blocks: list[set[int]]) -> None:
         nonlocal best
-        if len(blocks) >= best and v < n:
+        if len(blocks) >= best and i < n:
             return
-        if v == n:
+        if i == n:
             if all(block_ok(frozenset(b)) for b in blocks):
                 best = min(best, len(blocks))
             return
         for block in blocks:
-            block.add(v)
-            assign(v + 1, blocks)
-            block.remove(v)
-        blocks.append({v})
-        assign(v + 1, blocks)
+            block.add(vertices[i])
+            assign(i + 1, blocks)
+            block.remove(vertices[i])
+        blocks.append({vertices[i]})
+        assign(i + 1, blocks)
         blocks.pop()
 
     assign(0, [])

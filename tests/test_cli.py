@@ -278,11 +278,19 @@ def test_dp_limit_environment_variable_is_ignored(capsys, monkeypatch):
 
 
 def test_cmd_lambda_inexact_exit_code(capsys):
-    code, out, _ = run(capsys, "lambda", "Q8", "--method", "ledger", "--json")
+    code, out, _ = run(capsys, "lambda", "Q12", "--method", "ledger", "--json")
     assert code == 2
     payload = json.loads(out)
     assert payload["exact"] is False
     assert payload["lambda"] is None
+
+
+def test_cmd_lambda_ledger_method_says_why_it_is_inexact(capsys):
+    code, out, _ = run(capsys, "lambda", "Z30", "--method", "ledger", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["exact"] is False
+    assert payload["notes"] == ["ledger: bounds do not meet (lower 40, upper 55)"]
 
 
 def test_cmd_lambda_report_schema(capsys):

@@ -1,5 +1,6 @@
 """Labeling validation, exact span solvers and the constructive labelings."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -38,7 +39,9 @@ from lambda_power import invariants
 from lambda_power import labeling as labeling_module
 from lambda_power.cli import build_group, builtin_corpus, parse_group_spec
 from lambda_power.errors import InternalError, VerificationError
+from lambda_power.groups import GroupDescriptor, _build, _generators, from_descriptor
 from lambda_power.oracle import decomposition_conditions
+from lambda_power.powergraph import bits
 
 
 def pg(group):
@@ -503,16 +506,23 @@ def poset_weights(g):
 
 
 def test_poset_ledger_matches_the_graph_views():
-    # the profile and the P4 verdict the ledger reads off the poset, against
-    # the identity-deleted graph's components and the complement's scan;
-    # the decomposition's masks against set inclusion over element sets
+    # the dominating set and the profile the ledger reads off the poset,
+    # against the graph's dominating vertices and the components of the
+    # graph less them; the P4 verdict against the complement's scan; the
+    # decomposition's masks against set inclusion over element sets
     assert len(LEDGER_SPECS) == 778
     for spec in LEDGER_SPECS + list(PINNED_LARGE):
         g = build_group(parse_group_spec(spec))
         graph = pg(g)
         weights, inside = poset_weights(g)
-        assert invariants._comparability_weights(weights, inside) == (
-            invariants.cut_vertex_component_profile(graph, 0)), spec
+        dominating = sum(1 << v for v, row in enumerate(graph.adj)
+                         if row | 1 << v == graph.full_mask)
+        rest = invariants._masked_components(graph.adj, graph.full_mask & ~dominating)
+        d, parts = invariants._comparability_weights(weights, inside)
+        assert d == dominating.bit_count(), spec
+        assert [weight for weight, _ in parts] == list(map(len, rest)), spec
+        assert sorted(sorted(x for i in members for x in bits(g._poset.generators[i]))
+                      for _, members in parts) == sorted(rest), spec
         assert invariants._incomparability_has_p4(weights, inside) == (
             invariants.find_complement_p4(graph) is not None), spec
         maximal = oracles.maximal_cyclic_sets(g)
@@ -603,10 +613,63 @@ def test_lambda_exact_trivial_group():
 
 
 def test_lambda_exact_unpinned_ledger_method_is_inexact():
-    report = lambda_exact(make_generalized_quaternion(8), method="ledger")
+    report = lambda_exact(make_generalized_quaternion(12), method="ledger")
     assert not report.exact
     assert report.value is None
     assert report.bounds
+
+
+def test_lambda_exact_ledger_method_says_why_it_is_inexact():
+    report = lambda_exact(make_cyclic(30), method="ledger")
+    assert not report.exact and report.method == "bounds-only"
+    assert report.notes == ("ledger: bounds do not meet (lower 40, upper 55)",)
+
+
+def test_pinned_ledger_values_meet_the_path_cover_and_poset_witnesses_validate():
+    # 361 of the 778 groups are pinned; each value is the path cover's, and
+    # each witness read off the poset validates on the graph
+    pinned = 0
+    for spec in LEDGER_SPECS:
+        g = build_group(parse_group_spec(spec))
+        bounds = bound_ledger(g)
+        lower = max(b.value for b in bounds if b.kind == "lower")
+        if lower != min(b.value for b in bounds if b.kind == "upper"):
+            continue
+        pinned += 1
+        graph = pg(g)
+        assert lambda_via_path_cover(graph).span == lower, spec
+        witness = labeling_module._poset_witness(g)
+        assert witness is not None and witness.span == lower, spec
+        assert validate_l21(graph, witness).ok, spec
+    assert pinned == 361
+
+
+def test_dominating_bound_is_below_the_brute_force_cover():
+    # n + d - 1 <= n + r - 2, r the complement's minimum path cover
+    checked = 0
+    for spec, g in builtin_corpus(16):
+        for bound in bound_ledger(g):
+            if bound.source == "dominating":
+                r = oracles.brute_path_cover_count(pg(g).complement)
+                assert bound.value <= g.order + r - 2, spec
+                checked += 1
+    assert checked == 7
+
+
+@pytest.mark.parametrize("family, order", [("cyclic", 12), ("dihedral", 12),
+                                           ("quaternion", 12)])
+def test_relabelled_family_group_gets_a_valid_witness(family, order):
+    # rows laid out by a shuffled index: the family's labels, written for
+    # the constructor's layout, are not used
+    descriptor = GroupDescriptor.atom(family, order)
+    shuffle = [0] + random.Random(order).sample(range(1, order), order - 1)
+    rows = [tuple(shuffle[row[shuffle.index(x)]] for x in range(order))
+            for row in _generators(descriptor)]
+    g = _build(rows, descriptor)
+    assert g._generators != _generators(descriptor)
+    report = lambda_exact(g)
+    assert report.exact and report.value == lambda_exact(from_descriptor(descriptor)).value
+    assert validate_l21(pg(g), report.labeling).ok
 
 
 @pytest.mark.parametrize("n, span", [(30, 40), (36, 52), (40, 64), (42, 60), (44, 80), (45, 72)])
@@ -697,14 +760,13 @@ def test_z72_is_exact_without_a_search(monkeypatch):
                          ids=["D12", "Z6"])
 def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
     # Both are pinned by the ledger and take a family witness, which must be
-    # laid on the group's own power graph rather than on a rebuilt group.
-    # ``build_power_graph`` reads the group's cached graph, so count the
-    # graphs constructed: the power graph alone, as the ledger reads the
-    # poset and the witness's distinct labels need no distance-two rows.
+    # checked on the group's own poset rather than on a rebuilt group. Count
+    # the graphs constructed: none, as the ledger reads the poset and the
+    # witness is accepted once, with adjacency read off the poset.
     group = make(order)
     calls = Counter()
     for name in ("make_cyclic", "make_dihedral", "make_generalized_quaternion",
-                 "validate_l21"):
+                 "validate_l21", "_accepted_on_poset"):
         def counted(*args, _name=name, _fn=getattr(labeling_module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -723,4 +785,4 @@ def test_lambda_exact_builds_and_validates_once(monkeypatch, make, order):
     monkeypatch.setattr(Graph, "_trusted", classmethod(constructed_trusted))
     report = lambda_exact(group)
     assert report.method == "ledger" and report.labeling is not None
-    assert calls == {"Graph": 1, "validate_l21": 1}
+    assert calls == {"_accepted_on_poset": 1}

@@ -9,6 +9,7 @@ from oracles import delete_vertex
 
 from lambda_power import (
     Graph,
+    bound_ledger,
     build_power_graph,
     check_lower_equality,
     complement,
@@ -19,8 +20,9 @@ from lambda_power import (
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
+    validate_l21,
 )
-from lambda_power.cli import main
+from lambda_power.cli import build_group, main, parse_group_spec
 
 
 def pg(group):
@@ -48,28 +50,39 @@ def count_graph_builds(monkeypatch) -> list:
 
 def test_graph_builds_per_question(monkeypatch):
     # The pinned D12 reads its ledger off the poset and its witness passes
-    # the distinct-labels check, so only the power graph is built. The
-    # lower-equality check adds the cached complement: questions about part
-    # of the graph run on these rows instead of on re-indexed copies.
+    # the distinct-labels check with adjacency read off the poset, so no
+    # graph is built. The lower-equality check builds the power graph and
+    # its cached complement: questions about part of the graph run on these
+    # rows instead of on re-indexed copies.
     group = make_dihedral(12)
     built = count_graph_builds(monkeypatch)
     lambda_exact(group)
-    assert len(built) == 1
+    assert built == []
     group = make_dihedral(6)
     built.clear()
     check_lower_equality(group, 6)
     assert len(built) == 2
 
 
-def test_lambda_exact_on_d1024_builds_the_power_graph_alone(monkeypatch):
-    # the ledger builds no complement, and the family witness's distinct
-    # labels are accepted without the distance-two rows
+def test_lambda_exact_on_d1024_builds_no_graph(monkeypatch):
+    # the ledger and the family witness's check both read the poset
     group = make_dihedral(1024)
     built = count_graph_builds(monkeypatch)
     report = lambda_exact(group)
     assert report.exact and report.value == 1024 and report.method == "ledger"
-    assert len(built) == 1 and built[0] is pg(group)
-    assert "complement" not in built[0].__dict__ and "distance_two" not in built[0].__dict__
+    assert built == [] and "_power_graph" not in group.__dict__
+
+
+@pytest.mark.parametrize("spec, value", [
+    ("D10000", 10000), ("Q8192", 8193), ("x".join(["Z2"] * 13), 8192)])
+def test_large_pinned_groups_build_no_graph(monkeypatch, spec, value):
+    # the witness is read off the poset; a graph built afterwards accepts it
+    group = build_group(parse_group_spec(spec))
+    built = count_graph_builds(monkeypatch)
+    report = lambda_exact(group)
+    assert report.exact and report.value == value and report.method == "ledger"
+    assert built == []
+    assert validate_l21(pg(group), report.labeling).ok
 
 
 # Z8 walks <0>, <1>, <2>, <4> in that order: number = [0, 1, 2, 1, 3, 1, 2, 1]
@@ -91,10 +104,13 @@ def test_corrupted_poset_is_refused_before_any_graph_is_built(monkeypatch, field
     assert sub.inside == [0, 0b1101, 0b1001, 0b1]
     rows = list(getattr(sub, field))
     corrupt(rows)
-    group.__dict__["_cyclic_subgroups"] = sub._replace(**{field: rows})
+    corrupted = sub._replace(**{field: rows})
     built = count_graph_builds(monkeypatch)
-    with pytest.raises(InternalError, match=message):
-        build_power_graph(group)
+    for ask in (build_power_graph, bound_ledger, lambda_exact):
+        group = make_cyclic(8)
+        group.__dict__["_cyclic_subgroups"] = corrupted
+        with pytest.raises(InternalError, match=message):
+            ask(group)
     assert built == []
 
 
