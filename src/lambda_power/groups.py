@@ -9,15 +9,18 @@ product, at any nesting, each atom's rows lifted into the mixed-radix
 layout. One builder, `_build`, proves from the k rows alone, in about k^2 n
 steps, that they generate a group acting regularly on the indices, and
 reads off a tree that spells each element as a word of right
-multiplications. One power walk per distinct cyclic subgroup, through those
-words, gives the orders, the maximal cyclic subgroups, the power graph and
-the poset whose heaviest chain and widest antichain are its clique and
-independence numbers. The n^2 Cayley table is built only when asked for.
+multiplications. The poset of cyclic subgroups gives the orders, the
+maximal cyclic subgroups, the power graph and the heaviest chain and
+widest antichain that are its clique and independence numbers, each
+witness checked on the poset. Z_n, D_2n and Q_4n on their constructors'
+rows read it off the divisors; any other group walks the powers of one
+generator per distinct cyclic subgroup, through those words. The n^2
+Cayley table is built only when asked for.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, isqrt, prod
 from operator import itemgetter, or_
@@ -26,7 +29,6 @@ from typing import NamedTuple, Sequence
 from .errors import CapacityExceeded, InternalError
 from .invariants import (
     WitnessedValue,
-    _checked_witness,
     _comparability_weights,
     _heaviest_chain,
     _widest_antichain,
@@ -146,8 +148,26 @@ class FiniteGroup:
 
     @cached_property
     def _cyclic_subgroups(self) -> _CyclicSubgroups:
-        """One power walk per distinct cyclic subgroup, on first use."""
+        """On first use: read off the divisors for a family member on its
+        constructor's rows (`_family_poset`), else one power walk per
+        distinct cyclic subgroup."""
+        if self._in_constructor_layout:
+            return _family_poset(self.descriptor.family, self.order)
         return _power_walks(self._tree, self.inverses)
+
+    @cached_property
+    def _in_constructor_layout(self) -> bool:
+        """Whether this is a cyclic, dihedral or quaternion group on the rows
+        its family's constructor lays out, so that the closed forms written
+        for that layout (the poset, the family labels) apply to it."""
+        family, params, _ = self.descriptor
+        return (family in _ATOM_PREFIX and params == (self.order,)
+                and self._generators == _generators(self.descriptor))
+
+    @cached_property
+    def _largest_order(self) -> int:
+        """The largest element order; it is n iff the group is cyclic."""
+        return max(self.orders)
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -175,22 +195,25 @@ class FiniteGroup:
         adjacent iff their cyclic subgroups are nested, and the generators of
         one subgroup are pairwise adjacent, so a maximum clique is every
         generator of a chain of cyclic subgroups whose generator counts have
-        the greatest sum. Each member is checked against its own row."""
+        the greatest sum. Each link of the chain is checked on ``inside``."""
         sub = self._poset
         value, chain = _heaviest_chain(list(map(int.bit_count, sub.generators)), sub.inside)
-        return _checked_witness(partial(_neighbours, sub), value,
-                                sum(map(sub.generators.__getitem__, chain)), "clique")
+        nested = all(sub.inside[i] >> j & 1 for i, j in zip(chain, chain[1:]))
+        return _checked_witness(nested, value, sum(map(sub.generators.__getitem__, chain)),
+                                "clique")
 
     @cached_property
     def power_graph_independent_set(self) -> WitnessedValue:
         """A maximum independent set of the power graph; computed once. It
         holds at most one generator per cyclic subgroup, of subgroups pairwise
         not nested, so it is one generator of each subgroup of a widest
-        antichain. Each member is checked against its own row."""
+        antichain. Each pair of the antichain is checked on ``inside``."""
         sub = self._poset
         value, antichain = _widest_antichain(sub.inside)
+        members = sum(1 << i for i in antichain)
+        apart = not any(sub.inside[i] & members for i in antichain)
         witness = sum(sub.generators[i] & -sub.generators[i] for i in antichain)  # distinct bits
-        return _checked_witness(partial(_neighbours, sub), value, witness, "independent-set")
+        return _checked_witness(apart, value, witness, "independent-set")
 
     @cached_property
     def _comparability(self) -> tuple[int, list[tuple[int, list[int]]]]:
@@ -249,7 +272,8 @@ def _build(generators: Sequence[Sequence[int]], descriptor: GroupDescriptor) -> 
     in G with L_x(0) = x is a group whose rows `_table` builds, and R_b is
     right multiplication by b. Every group passes; `_refusal` names why
     rows fail. Inverses follow the tree, x = ap giving x^-1 = R_a^-1(p^-1).
-    Orders and cyclic subgroups come from `_power_walks` on first use.
+    Orders and cyclic subgroups come on first use from `_family_poset` when
+    the rows are a family constructor's own, else from `_power_walks`.
     """
     n = len(generators[0])
     for i, row in enumerate(generators):
@@ -311,12 +335,19 @@ def _times(tree: _Tree, z: int, x: int) -> int:
 
 def _power_walks(tree: _Tree, inverses: Sequence[int]) -> _CyclicSubgroups:
     """Cyclic subgroups and orders, one walk per distinct <x>, each order checked
-    against Lagrange: x^k has order o / gcd(k, o), and <x> holds the <x^d>, d | o."""
+    against Lagrange: x^k has order o / gcd(k, o), and <x> holds the <x^d>, d | o.
+    An involution x is {e, x} at once, with no walk."""
     n = len(inverses)
     orders, number = [0] * n, [-1] * n
     masks, generators, divisors = [], [], []
     for x in range(n):
         if number[x] >= 0:
+            continue
+        if x and inverses[x] == x and n % 2 == 0:
+            orders[x], number[x] = 2, len(masks)
+            masks.append(1 | 1 << x)
+            generators.append(1 << x)
+            divisors.append([0])
             continue
         half = [0, x]  # e, x, ..., x^m, until x^(2m-1) = e or x^(2m) = e
         while half[-1] != inverses[half[-2]] and half[-1] != inverses[half[-1]]:
@@ -348,6 +379,51 @@ def _power_walks(tree: _Tree, inverses: Sequence[int]) -> _CyclicSubgroups:
     return _CyclicSubgroups(number, masks, generators, above, inside, tuple(orders))
 
 
+def _family_poset(family: str, n: int) -> _CyclicSubgroups:
+    """The record `_power_walks` gives for Z_n, D_n or Q_n on its
+    constructor's rows, read off the divisors with no walk.
+
+    The rotations x^0..x^(k-1) are Z_k: the subgroups <x^g>, one per divisor
+    g of k, are numbered as the walk meets them, e = x^k first and then g
+    ascending. <x^g> is the multiples of g, generated by those j with
+    gcd(j, k) = g, and x^j has order k / gcd(j, k). D_n (k = n/2) then walks
+    each reflection r as its own {e, r}; Q_n (k = n/2, h = k/2) walks
+    {e, x^h, x^i y, x^(i+h) y} for each i < h, its x^i y at index k + i.
+    """
+    k = n if family == "cyclic" else n // 2
+    divisors = [g for g in range(1, k + 1) if k % g == 0]
+    walked = divisors[-1:] + divisors[:-1]
+    index = {g: i for i, g in enumerate(walked)}
+    masks = [((1 << k) - 1) // ((1 << g) - 1) for g in walked]
+    primes = [p for p in divisors if is_prime(p)]
+    generators = [mask & ~reduce(or_, (masks[index[g * p]] for p in primes if k // g % p == 0), 0)
+                  for g, mask in zip(walked, masks)]
+    inside = [sum(1 << index[h] for h in divisors if h % g == 0 and h != g) for g in walked]
+    above = [sum(generators[index[h]] for h in divisors if g % h == 0) for g in walked]
+    number, orders = [0] * n, [0] * n
+    for g in divisors:  # ascending: gcd(j, k), the last divisor of j, is written last
+        number[0:k:g] = [index[g]] * (k // g)
+        orders[0:k:g] = [k // g] * (k // g)
+    if family == "cyclic":
+        return _CyclicSubgroups(number, masks, generators, above, inside, tuple(orders))
+    q, top = len(masks), (1 << n) - (1 << k)  # the elements past the rotations
+    if family == "dihedral":
+        outside = [1 << r for r in range(k, n)]
+        number[k:], orders[k:] = range(q, q + k), [2] * k
+        masks += [1 | y for y in outside]
+        inside += [1] * k
+    else:
+        h = k // 2
+        outside = [1 << (k + i) | 1 << (k + h + i) for i in range(h)]
+        number[k:], orders[k:] = [*range(q, q + h)] * 2, [4] * k
+        masks += [1 | 1 << h | y for y in outside]
+        inside += [1 | 1 << index[h]] * h
+        above[index[h]] |= top
+    above[0] |= top
+    return _CyclicSubgroups(number, masks, generators + outside, above + outside, inside,
+                            tuple(orders))
+
+
 def _check_poset(sub: _CyclicSubgroups, n: int) -> _CyclicSubgroups:
     """The record, once it passes a check of about n + q^2 big-int steps for
     q subgroups: the generators partition range(n) as ``number`` says; each
@@ -355,35 +431,58 @@ def _check_poset(sub: _CyclicSubgroups, n: int) -> _CyclicSubgroups:
     hence antisymmetric), as `_heaviest_chain` and `_widest_antichain`
     assume; ``masks[i]`` is the generators of i and of the subgroups inside
     it, ``above[i]`` those of i and of the subgroups containing it. Then
-    `_neighbours` gives rows below n, loop-free and symmetric."""
+    `_neighbours` gives rows below n, loop-free and symmetric. ``inside[0]``
+    must be empty, so a row holding subgroup 0 alone is strict at once."""
     number, masks, generators, above, inside, _ = sub
     q = len(generators)
     if (len(number) != n or sum(map(int.bit_count, generators)) != n
             or any(g >> n for g in generators) or not 0 <= min(number) <= max(number) < q
             or not all(generators[i] >> x & 1 for x, i in enumerate(number))):
         raise InternalError("cyclic subgroup generators do not partition the elements")
-    elements, containing = list(generators), list(generators)
+    if len(inside) != q or inside[0]:
+        raise InternalError("the subgroups inside cyclic subgroup 0 are no strict order")
+    containing, alone = list(generators), []  # alone: the rows holding subgroup 0 alone
     for i, row in enumerate(inside):
-        if len(inside) != q or row >> q or row >> i & 1 or any(inside[j] & ~row for j in bits(row)):
+        if row == 1:
+            elements = generators[i] | generators[0]
+            alone.append(i)
+        elif row >> q or row >> i & 1:
             raise InternalError(f"the subgroups inside cyclic subgroup {i} are no strict order")
-        for j in bits(row):
-            elements[i] |= generators[j]
-            containing[j] |= generators[i]
-    if elements != masks:
-        raise InternalError("a cyclic subgroup is not its generators and those inside it")
+        else:
+            elements, closure = generators[i], 0
+            for j in bits(row):
+                closure |= inside[j]
+                elements |= generators[j]
+                containing[j] |= generators[i]
+            if closure & ~row:
+                raise InternalError(f"the subgroups inside cyclic subgroup {i} "
+                                    "are no strict order")
+        if elements != masks[i]:
+            raise InternalError("a cyclic subgroup is not its generators and those inside it")
+    containing[0] = reduce(or_, map(generators.__getitem__, alone), containing[0])
     if containing != above:
         raise InternalError("a cyclic subgroup's row above is not the generators containing it")
     return sub
 
 
-def _neighbours(sub: _CyclicSubgroups, elements: Sequence[int] | None = None) -> list[int]:
-    """The power graph's rows of the elements, of all when None: row x is <x>
-    plus the generators of every cyclic subgroup containing <x>, less x. On
-    a checked record, y != x is in it iff <x> and <y> are nested."""
-    number, masks, above = sub.number, sub.masks, sub.above
-    pairs = enumerate(number) if elements is None else (
-        zip(elements, map(number.__getitem__, elements)))
-    return [(masks[i] | above[i]) & ~(1 << x) for x, i in pairs]
+def _checked_witness(holds: bool, value: int, witness: int, kind: str) -> WitnessedValue:
+    """``value`` with its witness mask, once ``holds`` says its subgroups
+    are a chain (kind "clique") or pairwise not nested (kind
+    "independent-set") and it has exactly ``value`` vertices: a wrong value
+    cannot pass as a bound."""
+    members = tuple(bits(witness))
+    if holds and len(members) == value:
+        return WitnessedValue(value, members, kind)
+    raise InternalError(f"{kind} witness of {len(members)} vertices fails "
+                        f"the cyclic-subgroup poset for the value {value}")
+
+
+def _neighbours(sub: _CyclicSubgroups) -> list[int]:
+    """The power graph's rows: row x is <x> plus the generators of every
+    cyclic subgroup containing <x>, less x. On a checked record, y != x is
+    in it iff <x> and <y> are nested."""
+    masks, above = sub.masks, sub.above
+    return [(masks[i] | above[i]) & ~(1 << x) for x, i in enumerate(sub.number)]
 
 
 def _table(generators: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -551,22 +650,37 @@ def from_permutations(generators: Sequence[Sequence[int]], *,
 def _permutation_generators(images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Each generator's left-multiplication row over the closure of the
     1-based images, enumerated breadth-first from the identity. The product
-    p * q maps i to p[q[i]], so element x's row holds the index of x * z."""
-    gens = [tuple(v - 1 for v in p) for p in images]  # 0-based
-    identity = tuple(range(len(images[0]) if images else 1))
+    p * q maps i to p[q[i]], so element x's row holds the index of x * z.
+    Up to 256 points a permutation is bytes, and ``q.translate(p)``, with p
+    padded to the 256 bytes a table needs, composes p * q in one call."""
+    points = len(images[0]) if images else 1
+    if points <= 256:
+        pad = bytes(range(points, 256))
+        perm, compose = bytes, bytes.translate
+
+        def table(p):
+            return p + pad
+    else:
+        perm, table = tuple, tuple
+
+        def compose(q, p):  # p * q, read as a tuple
+            return tuple(map(p.__getitem__, q))
+    gens = [perm(v - 1 for v in p) for p in images]
+    identity = perm(range(points))
     elements = [identity]
     index = {identity: 0}
     for current in elements:  # grows while it is walked
+        read = table(current)
         for gen in gens:
-            composed = tuple(map(current.__getitem__, gen))
+            composed = compose(gen, read)
             if composed not in index:
                 if len(elements) >= DEFAULT_MAX_ORDER:
                     raise CapacityExceeded("permutation closure exceeds the configured "
                                            f"maximum {DEFAULT_MAX_ORDER}")
                 index[composed] = len(elements)
                 elements.append(composed)
-    return [tuple([index[tuple(map(gen.__getitem__, z))] for z in elements])
-            for gen in gens] or [(0,)]
+    return [tuple([index[compose(z, read)] for z in elements])
+            for read in map(table, gens)] or [(0,)]
 
 
 def from_descriptor(descriptor: GroupDescriptor) -> FiniteGroup:

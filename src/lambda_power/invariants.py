@@ -12,7 +12,7 @@ A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 A power graph's clique and independence numbers need no search: its group
 reads them off a chain and an antichain of its cyclic subgroups, with the
-poset routines and the witness check here. The bound ledger reads two more
+poset routines here, and checks each witness on the poset. The bound ledger reads two more
 answers off the same poset: the dominating vertices and the components of
 the graph less them, and whether the complement has a path on four
 vertices.
@@ -27,7 +27,7 @@ import time
 from array import array
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, _masked_components, bits, connected_components
@@ -61,25 +61,6 @@ class PathCover(NamedTuple):
     @property
     def count(self) -> int:
         return len(self.paths)
-
-
-def _checked_witness(rows: Callable[[list[int]], list[int]], value: int, witness: int,
-                     kind: str) -> WitnessedValue:
-    """``value`` with its witness mask, once the witness is checked to be a
-    clique (kind "clique") or an independent set of exactly ``value``
-    vertices, each member against its own adjacency row, ``rows(members)``
-    giving the members' rows: a wrong value cannot pass as a bound."""
-    members = list(bits(witness))
-    clique = kind == "clique"
-    # a clique member sees the rest, an independent one none
-    for v, row in zip(members, rows(members)):
-        if row & witness != (witness ^ 1 << v if clique else 0):
-            break
-    else:
-        if len(members) == value:
-            return WitnessedValue(value, tuple(members), kind)
-    raise InternalError(f"{kind} witness of {len(members)} vertices fails "
-                        f"the graph's rows for the value {value}")
 
 
 def _heaviest_chain(weights: Sequence[int], below: Sequence[int]) -> tuple[int, list[int]]:

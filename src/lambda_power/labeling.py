@@ -29,7 +29,6 @@ from typing import NamedTuple
 from .errors import CapacityExceeded, InternalError, VerificationError
 from .groups import (
     FiniteGroup,
-    _generators,
     is_prime,
     make_cyclic,
     make_dihedral,
@@ -504,8 +503,7 @@ def _family_labels(g: FiniteGroup) -> list[int] | None:
     constructors lay out are eligible; a group built on other rows under a
     family's descriptor gets a poset or path-cover witness instead."""
     family = g.descriptor.family
-    if family not in ("cyclic", "dihedral", "quaternion") or (
-            g._generators != _generators(g.descriptor)):
+    if not g._in_constructor_layout:
         return None
     params = two_prime_cyclic_params(g) if family == "cyclic" else None
     if params is not None:

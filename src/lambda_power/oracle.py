@@ -65,7 +65,7 @@ def euler_phi(m: int) -> int:
 
 
 def is_cyclic(g: FiniteGroup) -> bool:
-    return max(g.orders) == g.order
+    return g._largest_order == g.order
 
 
 def is_cyclic_prime_power(g: FiniteGroup) -> bool:

@@ -459,6 +459,34 @@ def closure_table(generators) -> list[list[int]]:
     return rows
 
 
+def permutation_rows(images) -> list[tuple[int, ...]]:
+    """Each generator's left-multiplication row over the closure of the
+    1-based images, breadth-first from the identity, every product composed
+    as a tuple: (p * q)[i] = p[q[i]], and row x holds the index of x * z."""
+    gens = [tuple(v - 1 for v in p) for p in images]
+    identity = tuple(range(len(images[0]) if images else 1))
+    elements, index = [identity], {identity: 0}
+    for current in elements:
+        for gen in gens:
+            composed = tuple(current[i] for i in gen)
+            if composed not in index:
+                index[composed] = len(elements)
+                elements.append(composed)
+    return [tuple(index[tuple(gen[i] for i in z)] for z in elements) for gen in gens] or [(0,)]
+
+
+def relabelled_rows(rows, relabel) -> list[tuple[int, ...]]:
+    """Left-multiplication rows under the relabelling x -> relabel[x], which
+    fixes 0: row'[relabel[x]] = relabel[row[x]]."""
+    out = []
+    for row in rows:
+        moved = [0] * len(row)
+        for x, y in enumerate(row):
+            moved[relabel[x]] = relabel[y]
+        out.append(tuple(moved))
+    return out
+
+
 def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     """Graph minus vertex v, plus the survivor map (new index -> old index)."""
     n = graph.n

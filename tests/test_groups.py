@@ -11,6 +11,7 @@ from oracles import (
     composed_permutation_table,
     cyclic_subgroups_of,
     generating_set,
+    permutation_rows,
     power_walk,
     validate_table,
     validated_group,
@@ -529,6 +530,34 @@ def test_walked_orders_inverses_and_cyclic_subgroups_match_the_table():
         assert Graph(group._power_graph.adj) == group._power_graph, spec  # the full row check
         assert all(group.mul(a, b) == group.table[a][b]
                    for a in range(min(group.order, 16)) for b in range(group.order)), spec
+
+
+FAMILY_ATOMS = ([("cyclic", n) for n in range(1, 401)] + [("dihedral", m) for m in range(6, 401, 2)]
+                + [("quaternion", m) for m in range(8, 401, 4)]
+                + [(family, 1024) for family in ("cyclic", "dihedral", "quaternion")])
+
+
+def test_family_poset_read_off_the_divisors_matches_the_walk_and_the_table():
+    for family, order in FAMILY_ATOMS:
+        group = from_descriptor(GroupDescriptor.atom(family, order))
+        assert group._in_constructor_layout, (family, order)
+        walked = groups._power_walks(group._tree, group.inverses)
+        assert group._cyclic_subgroups == walked, (family, order)
+        assert tuple(walked) == cyclic_subgroups_of(group.table), (family, order)
+        assert group._poset is group._cyclic_subgroups
+
+
+@pytest.mark.parametrize("images", [
+    [permutation_from_cycles([tuple(range(1, 6))]), permutation_from_cycles([(1, 2)])],
+    [permutation_from_cycles([tuple(range(1, 7))]), permutation_from_cycles([(1, 2)])],
+    [permutation_from_cycles([tuple(range(1, 8))]), permutation_from_cycles([(1, 2)])],
+    A5_IMAGES,
+    [permutation_from_cycles([tuple(range(1, 301))])],
+    [],
+], ids=["S5", "S6", "S7", "A5", "Z300-on-300-points", "none"])
+def test_permutation_closure_rows_match_the_tuple_reference(images):
+    padded = GroupDescriptor.permutation(images).params  # one domain, as the builder gets them
+    assert groups._permutation_generators(padded) == permutation_rows(padded)
 
 
 def test_solving_never_builds_the_table(monkeypatch, capsys):

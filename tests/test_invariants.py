@@ -130,6 +130,16 @@ def test_poset_clique_witness_refuses_a_wrong_weight(monkeypatch):
         make_cyclic(12).power_graph_clique
 
 
+def test_poset_clique_witness_refuses_a_chain_that_is_not_nested(monkeypatch):
+    # D10's last two subgroups are two reflections {e, r}: two vertices, as
+    # claimed, but not adjacent
+    group = make_dihedral(10)
+    q = len(group._poset.inside)
+    monkeypatch.setattr(groups, "_heaviest_chain", lambda weights, below: (2, [q - 1, q - 2]))
+    with pytest.raises(InternalError, match="clique witness of 2 vertices"):
+        group.power_graph_clique
+
+
 def test_poset_independent_set_witness_refuses_a_lost_containment(monkeypatch):
     widest = groups._widest_antichain
     monkeypatch.setattr(groups, "_widest_antichain", lambda below: widest([0] * len(below)))

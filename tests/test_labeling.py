@@ -657,18 +657,20 @@ def test_dominating_bound_is_below_the_brute_force_cover():
 
 
 @pytest.mark.parametrize("family, order", [("cyclic", 12), ("dihedral", 12),
-                                           ("quaternion", 12)])
+                                           ("quaternion", 12), ("dihedral", 1024),
+                                           ("quaternion", 1024)])
 def test_relabelled_family_group_gets_a_valid_witness(family, order):
-    # rows laid out by a shuffled index: the family's labels, written for
-    # the constructor's layout, are not used
+    # rows laid out by a shuffled index: the group walks its powers instead
+    # of reading the poset off the divisors, and the family's labels, written
+    # for the constructor's layout, are not used
     descriptor = GroupDescriptor.atom(family, order)
     shuffle = [0] + random.Random(order).sample(range(1, order), order - 1)
-    rows = [tuple(shuffle[row[shuffle.index(x)]] for x in range(order))
-            for row in _generators(descriptor)]
-    g = _build(rows, descriptor)
-    assert g._generators != _generators(descriptor)
-    report = lambda_exact(g)
-    assert report.exact and report.value == lambda_exact(from_descriptor(descriptor)).value
+    g = _build(oracles.relabelled_rows(_generators(descriptor), shuffle), descriptor)
+    assert not g._in_constructor_layout
+    report, reference = lambda_exact(g), lambda_exact(from_descriptor(descriptor))
+    fields = ("value", "exact", "bounds", "oracle", "agreement")
+    assert report.exact
+    assert [getattr(report, f) for f in fields] == [getattr(reference, f) for f in fields]
     assert validate_l21(pg(g), report.labeling).ok
 
 

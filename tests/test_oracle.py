@@ -53,6 +53,14 @@ def test_is_cyclic_structural():
     assert not is_cyclic(direct_product(make_cyclic(2), make_cyclic(2)))
 
 
+def test_cyclicity_reads_the_largest_order_cached_once():
+    g, h = make_cyclic(12), make_cyclic(8)
+    assert is_cyclic(g) and g.__dict__["_largest_order"] == 12
+    g.__dict__["_largest_order"] = h.__dict__["_largest_order"] = 6  # what the tests read
+    assert not is_cyclic(g) and two_prime_cyclic_params(g) is None
+    assert not is_cyclic_prime_power(h)
+
+
 def test_is_cyclic_prime_power():
     assert is_cyclic_prime_power(make_cyclic(8))
     assert is_cyclic_prime_power(make_cyclic(1))

@@ -92,9 +92,13 @@ def test_large_pinned_groups_build_no_graph(monkeypatch, spec, value):
     ("inside", lambda rows: rows.__setitem__(2, rows[2] | 1 << 2), "no strict order"),
     ("inside", lambda rows: rows.__setitem__(1, rows[1] & ~1), "no strict order"),  # not transitive
     ("inside", lambda rows: rows.__setitem__(3, rows[3] | 1 << 2), "no strict order"),  # a cycle
+    ("inside", lambda rows: rows.__setitem__(0, 1), "no strict order"),  # <0> inside itself
     ("masks", lambda rows: rows.__setitem__(2, rows[2] & ~(1 << 4)), "not its generators"),
+    ("masks", lambda rows: rows.__setitem__(3, rows[3] & ~1), "not its generators"),  # row {0}
     ("above", lambda rows: rows.__setitem__(3, rows[3] & ~(1 << 1)), "row above"),
-], ids=["partition", "reflexive", "intransitive", "cyclic", "masks", "above"])
+    ("above", lambda rows: rows.__setitem__(0, rows[0] & ~(1 << 4)), "row above"),  # <0>'s
+], ids=["partition", "reflexive", "intransitive", "cyclic", "first-row", "masks",
+        "masks-over-first-row", "above", "above-first-row"])
 def test_corrupted_poset_is_refused_before_any_graph_is_built(monkeypatch, field, corrupt,
                                                               message):
     from lambda_power import InternalError
