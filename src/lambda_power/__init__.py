@@ -62,4 +62,4 @@ from .powergraph import (
     diameter_at_most_two,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -183,11 +183,18 @@ class FiniteGroup:
     @cached_property
     def _power_graph(self) -> Graph:
         """x != y adjacent iff one is a power of the other; built once, the
-        rows `_neighbours` reads off the checked cyclic-subgroup poset."""
-        rows = tuple(_neighbours(self._poset))
+        rows `_neighbours` reads off the checked cyclic-subgroup poset: the
+        comparability graph of <x> strictly inside <y>, or <x> = <y> and
+        x < y, so sorting by (|<x>|, number of <x>, x) gives a
+        cocomparability ordering of its complement."""
+        sub = self._poset
+        rows = tuple(_neighbours(sub))
         if self.order >= 2 and rows[0] != (1 << self.order) - 2:
             raise InternalError("identity must be adjacent to every other element")
-        return Graph._trusted(rows)
+        graph = Graph._trusted(rows)
+        graph._complement_ordering = lambda: sorted(
+            range(self.order), key=lambda x: (sub.orders[x], sub.number[x], x))
+        return graph
 
     @cached_property
     def power_graph_clique(self) -> WitnessedValue:

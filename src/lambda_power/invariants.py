@@ -2,12 +2,12 @@
 
 Everything here is deterministic: vertex scans ascend, branch orders are
 fixed, and witnesses come out canonical for a given graph. A path cover is
-settled per connected component in two stages. First, one maximum matching
-of the bipartite double cover gives both a certified lower bound lb and a
-constructed cover; when the cover has lb paths it is optimal. Only on a gap
-does the second stage, the exact quotient DP, run. The exact DP refuses
-instances above ``2**DEFAULT_DP_LIMIT`` states instead of silently
-guessing.
+settled per connected component. One maximum matching of the bipartite
+double cover gives both a certified lower bound lb and a constructed cover;
+when the cover has lb paths it is optimal. On a gap the cocomparability
+cover runs, minimum given a cocomparability ordering, as a power graph's
+complement has. A component still above lb is searched when it has at
+most ``_SEARCH_LIMIT`` vertices and refused otherwise, never guessed.
 A question about part of a graph runs on the graph's own rows over a vertex
 set that no outside row reaches, and answers in the graph's own indices.
 A power graph's clique and independence numbers need no search: its group
@@ -22,20 +22,17 @@ the graph itself, for the ``invariants`` command and as test references.
 
 from __future__ import annotations
 
-import math
-import time
-from array import array
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import CapacityExceeded, InternalError
 from .powergraph import Graph, _masked_components, bits, connected_components
 
-DEFAULT_DP_LIMIT = 24
+_SEARCH_LIMIT = 10
+_Ordering = Callable[[], Sequence[int]] | None  # builds a cocomparability ordering
 
 __all__ = [
-    "DEFAULT_DP_LIMIT",
     "PathCover",
     "WitnessedValue",
     "cut_vertex_component_profile",
@@ -191,104 +188,6 @@ def _incomparability_has_p4(weights: Sequence[int], below: Sequence[int]) -> boo
         if len(members) > 1 and not (star or edges == size == 3):
             return True
     return False
-
-
-def _twin_classes(adj: tuple[int, ...],
-                  vertices: Iterable[int]) -> tuple[list[list[int]], list[int]]:
-    """Open-twin classes (equal adjacency rows) of the vertices, members
-    ascending, and the quotient adjacency. Twins are never adjacent: no
-    quotient row has its own bit.
-    """
-    number: dict[int, int] = {}
-    members: list[list[int]] = []
-    for v in vertices:
-        row = adj[v]
-        if row not in number:
-            number[row] = len(members)
-            members.append([])
-        members[number[row]].append(v)
-    qadj = []
-    for cls in members:
-        row = 0
-        for u in bits(adj[cls[0]]):
-            row |= 1 << number[adj[u]]
-        qadj.append(row)
-    return members, qadj
-
-
-def _typecode(largest: int) -> str:
-    """The narrowest unsigned ``array`` typecode holding ``largest``."""
-    return next(code for code in "BHILQ" if largest.bit_length() <= 8 * array(code).itemsize)
-
-
-def _quotient_cover(adj: tuple[int, ...], vertices: list[int],
-                    deadline: float | None = None) -> list[list[int]]:
-    """Minimum path cover of a connected subgraph on m >= 2 vertices, exact.
-
-    Open twins are interchangeable in any path, so the DP runs over r, the
-    members left per twin class, coded in mixed radix: ``best[r]`` is the
-    fewest further paths once a path starts in r, ``ends[r]`` the classes it
-    can start in to get there. After class c, r costs ``best[r]`` when c is
-    adjacent to a class of ``ends[r]``, else ``best[r] + 1`` (a new path).
-    Refuses, before allocating, when the states exceed ``2**DEFAULT_DP_LIMIT``.
-    """
-    m = len(vertices)
-    members, qadj = _twin_classes(adj, vertices)
-    q = len(members)
-    weights = [len(cls) for cls in members]
-    strides = []
-    states = 1
-    for w in weights:
-        strides.append(states)
-        states *= w + 1
-    if (states - 1).bit_length() > DEFAULT_DP_LIMIT:
-        raise CapacityExceeded(
-            f"path-cover DP over {q} twin classes of {m} vertices needs "
-            f"2^{math.log2(states):.1f} states, over the limit 2^{DEFAULT_DP_LIMIT}"
-        )
-    # states >= 2**q and states > m, so an admitted DP's counts and class
-    # masks fit 32 bits
-    best = array(_typecode(m), [0]) * states
-    ends = array(_typecode((1 << q) - 1), [0]) * states
-    # Nothing left: a path from any class ends at no cost. Every class of a
-    # connected graph has a neighbour, so every class meets this mask.
-    ends[0] = (1 << q) - 1
-    r = [0] * q
-    for code in range(1, states):
-        i = 0
-        while r[i] == weights[i]:
-            r[i] = 0
-            i += 1
-        r[i] += 1
-        if deadline is not None and (code & 4095) == 0 and time.monotonic() > deadline:
-            raise CapacityExceeded("time budget exhausted during the path-cover DP")
-        low, argmin, bit = m, 0, 1
-        for j in range(q):
-            if r[j]:
-                prev = code - strides[j]
-                cost = best[prev] + (0 if qadj[j] & ends[prev] else 1)
-                if cost < low:
-                    low, argmin = cost, bit
-                elif cost == low:
-                    argmin |= bit
-            bit <<= 1
-        best[code] = low
-        ends[code] = argmin
-    # Walk forward from r = w: extend into an optimal neighbouring class,
-    # else open a new path in an optimal class.
-    drawn = [0] * q
-    paths: list[list[int]] = []
-    code, cur = states - 1, None
-    while code:
-        options = ends[code] & qadj[cur] if cur is not None else 0
-        if not options:
-            options = ends[code]
-            paths.append([])
-        cur = (options & -options).bit_length() - 1
-        paths[-1].append(members[cur][drawn[cur]])
-        drawn[cur] += 1
-        code -= strides[cur]
-    return paths
 
 
 def _double_cover_matching(adj: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
@@ -528,14 +427,107 @@ def _constructed_cover(adj: tuple[int, ...], vertices: list[int],
     return [path for path in paths if path is not None]
 
 
-def _sandwich(adj: tuple[int, ...], vertices: list[int]) -> tuple[int, list[list[int]]]:
-    """The certified lower bound on the minimum path cover of the connected
-    subgraph on ``vertices`` and the cover constructed from the same matching.
+def _cocomparability_cover(adj: tuple[int, ...], vertices: list[int],
+                           ordering: Sequence[int]) -> list[list[int]]:
+    """A path cover of the subgraph on ``vertices``, which ``ordering`` lists
+    among any others; minimum when ``ordering`` is a cocomparability ordering
+    of the subgraph (Corneil, Dalton and Habib, SIAM J. Comput. 42, 2013).
+
+    LDFS+ visits the rightmost vertex of greatest label (visited neighbours,
+    latest first); paths start at the vertex left that LDFS visited last and
+    step to the end's neighbour left that LDFS visited last. Twins (equal
+    rows) share every label and are never adjacent, and moving one next to
+    another keeps an ordering cocomparability, so each class is moved up to
+    its first member and LDFS refines blocks of classes (in a power graph's
+    complement, cyclic subgroups): about n q steps for q classes.
     """
+    inside, mask = set(vertices), sum(1 << v for v in vertices)
+    twins: dict[int, list[int]] = {}  # row -> its vertices, in ``ordering``'s order
+    for v in filter(inside.__contains__, ordering):
+        twins.setdefault(adj[v] & mask, []).append(v)
+    members = list(twins.values())
+    every, first = (1 << len(members)) - 1, {vs[0]: 1 << c for c, vs in enumerate(members)}
+    firsts = sum(1 << v for v in first)
+    near = [_gathered(adj[vs[0]] & firsts, firsts, first, every) for vs in members]
+    # LDFS+ by partition refinement: the blocks hold equal labels, greatest
+    # first, and a visit moves its class's neighbours ahead of the rest.
+    visits: list[tuple[int, int]] = []  # LDFS order: each vertex and its class
+    spots = [0] * len(members)  # per class: its places in LDFS order, a mask
+    blocks = [every]
+    while blocks:
+        c = blocks[0].bit_length() - 1
+        spots[c] |= 1 << len(visits)
+        visits.append((members[c].pop(), c))
+        if not members[c]:
+            blocks[0] ^= 1 << c  # an empty block drops out of the refinement
+        row = near[c]
+        blocks = [b & row for b in blocks if b & row] + [b & ~row for b in blocks if b & ~row]
+    left = (1 << len(visits)) - 1
+    later = [_gathered(row, every, spots, left) for row in near]  # per class, by place
+    paths: list[list[int]] = []
+    reach = 0  # the end's neighbours left, by place
+    while left:
+        if not reach:
+            paths.append([])
+            reach = left
+        p = reach.bit_length() - 1
+        left ^= 1 << p
+        v, c = visits[p]
+        paths[-1].append(v)
+        reach = later[c] & left
+    return paths
+
+
+def _gathered(row: int, universe: int, pieces: Sequence[int] | dict[int, int], whole: int) -> int:
+    """The union of ``pieces[i]`` over the bits i of ``row``, read off the
+    fewer of row's bits and the rest of ``universe``'s, whose pieces are
+    disjoint with union ``whole``."""
+    if 2 * row.bit_count() <= universe.bit_count():
+        return reduce(or_, map(pieces.__getitem__, bits(row)), 0)
+    return whole & ~reduce(or_, map(pieces.__getitem__, bits(universe & ~row)), 0)
+
+
+def _searched_cover(adj: tuple[int, ...], vertices: list[int], **bounds: int) -> list[list[int]]:
+    """A minimum path cover of the subgraph on ``vertices``, by a search over
+    (covered set, last vertex). Above ``_SEARCH_LIMIT`` vertices it raises
+    CapacityExceeded with ``bounds`` (``lower_bound``, ``upper_bound``)."""
+    m = len(vertices)
+    if m > _SEARCH_LIMIT:
+        raise CapacityExceeded(
+            f"no cover built for a {m}-vertex component meets its certified lower "
+            f"bound, and the exact search takes at most {_SEARCH_LIMIT} vertices", **bounds)
+    near = [sum(1 << j for j, u in enumerate(vertices) if adj[v] >> u & 1) for v in vertices]
+    # best[s][j]: a cover of the set s by the fewest paths, the last ending at j
+    best: list[dict[int, list[list[int]]]] = [{} for _ in range(1 << m)]
+    for s in range(1, 1 << m):
+        for j in bits(s):
+            rest = best[s & ~(1 << j)]
+            covers = [rest[i][:-1] + [rest[i][-1] + [vertices[j]]] for i in bits(s & near[j])]
+            covers.append(min(rest.values(), key=len, default=[]) + [[vertices[j]]])
+            best[s][j] = min(covers, key=len)
+    return min(best[-1].values(), key=len)
+
+
+def _built_cover(adj: tuple[int, ...], vertices: list[int], matching: tuple[list[int], list[int]],
+                 lb: int, ordering: _Ordering) -> list[list[int]]:
+    """The constructed cover of the connected subgraph on ``vertices`` with
+    lower bound ``lb``; on a gap, the cocomparability cover from
+    ``ordering()`` (else the vertex order) if it has fewer paths."""
+    paths = _constructed_cover(adj, vertices, matching, lb)
+    if len(paths) > lb:
+        other = _cocomparability_cover(adj, vertices, ordering() if ordering else vertices)
+        paths = min(paths, other, key=len)
+    return paths
+
+
+def _sandwich(adj: tuple[int, ...], vertices: list[int],
+              ordering: _Ordering = None) -> tuple[int, list[list[int]]]:
+    """The certified lower bound on the minimum path cover of the connected
+    subgraph on ``vertices``, and `_built_cover` from the same matching."""
     mask = sum(1 << v for v in vertices)
     matching = _double_cover_matching(adj, mask)
     lb = _cover_lower_bound(adj, mask, matching, components=1)[0]
-    return lb, _constructed_cover(adj, vertices, matching, lb)
+    return lb, _built_cover(adj, vertices, matching, lb, ordering)
 
 
 def _checked_paths(adj: tuple[int, ...], paths: list[list[int]]) -> list[list[int]]:
@@ -546,58 +538,49 @@ def _checked_paths(adj: tuple[int, ...], paths: list[list[int]]) -> list[list[in
 
 
 def _hamilton_path_on(adj: tuple[int, ...], mask: int,
-                      deadline: float | None = None) -> tuple[int, ...] | None:
+                      ordering: _Ordering = None) -> tuple[int, ...] | None:
     """A Hamilton path of the subgraph on the vertices of ``mask``, which no
     outside row reaches, in the graph's own indices; None when absent.
-    """
+    ``ordering`` is the graph's ``_ordering``."""
     vertices = list(bits(mask))
     if len(vertices) <= 1:
         return tuple(vertices)
     matching = _double_cover_matching(adj, mask)
     if _cover_lower_bound(adj, mask, matching)[0] > 1:
         return None  # certified: no single path covers it
-    paths = _constructed_cover(adj, vertices, matching, 1)
-    if len(paths) > 1:
-        paths = _quotient_cover(adj, vertices, deadline)
-    paths = _checked_paths(adj, paths)
+    paths = _built_cover(adj, vertices, matching, 1, ordering)
+    paths = _checked_paths(adj, paths if len(paths) == 1 else _searched_cover(adj, vertices))
     return tuple(paths[0]) if len(paths) == 1 else None
 
 
-def hamilton_path(graph: Graph, *, deadline: float | None = None) -> tuple[int, ...] | None:
+def hamilton_path(graph: Graph) -> tuple[int, ...] | None:
     """A Hamilton path of the graph, or None when provably absent.
 
     A certified lower bound of 2 or more answers None before any cover is
-    built. Raises CapacityExceeded (inconclusive) when the bound is 1, the
-    constructed cover has more paths and the quotient DP exceeds its limits.
+    built. Raises CapacityExceeded (inconclusive) when the bound is 1, no
+    built cover is one path and the search refuses the graph.
     """
-    return _hamilton_path_on(graph.adj, graph.full_mask, deadline)
+    return _hamilton_path_on(graph.adj, graph.full_mask, graph._ordering)
 
 
-def path_cover_number(graph: Graph, *, deadline: float | None = None) -> PathCover:
+def path_cover_number(graph: Graph) -> PathCover:
     """A minimum path cover of the graph, exact.
 
-    Each component's sandwich is computed once: its certified lower bound
-    and the cover constructed from the same matching (a trivial path for a
-    singleton). Where the two meet the cover is optimal; elsewhere the
-    quotient DP settles the component. On refusal the bounds are sound: the
-    sums over all components of the lower bounds and of the constructed
-    covers, which are real covers.
+    Each component's sandwich is computed once (`_sandwich`, with the
+    graph's ``_ordering``; a trivial path for a singleton). Where the two
+    meet the cover is optimal; elsewhere the search settles a component of
+    at most ``_SEARCH_LIMIT`` vertices, or CapacityExceeded carries sound
+    bounds: the sums over all components of the lower bounds and of the
+    built covers, which are real covers.
     """
-    adj = graph.adj
-    components = connected_components(graph)
-    sandwiches = [(1, [comp]) if len(comp) == 1 else _sandwich(adj, comp)
+    adj, components = graph.adj, connected_components(graph)
+    sandwiches = [(1, [comp]) if len(comp) == 1 else _sandwich(adj, comp, graph._ordering)
                   for comp in components]
     paths: list[tuple[int, ...]] = []
     for comp, (lb, found) in zip(components, sandwiches):
         if len(found) > lb:
-            try:
-                found = _quotient_cover(adj, comp, deadline)
-            except CapacityExceeded as exc:
-                raise CapacityExceeded(
-                    str(exc),
-                    lower_bound=sum(lb for lb, _ in sandwiches),
-                    upper_bound=sum(len(built) for _, built in sandwiches),
-                ) from exc
+            found = _searched_cover(adj, comp, lower_bound=sum(lb for lb, _ in sandwiches),
+                                    upper_bound=sum(len(built) for _, built in sandwiches))
         paths.extend(min(tuple(seq), tuple(reversed(seq))) for seq in _checked_paths(adj, found))
     paths.sort()
     return PathCover(tuple(paths))

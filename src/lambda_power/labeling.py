@@ -226,20 +226,21 @@ def _bound_window(bounds: tuple[Bound, ...]) -> tuple[int, int]:
 # Exact solvers
 
 
-def lambda_via_path_cover(graph: Graph, *, deadline: float | None = None) -> Labeling:
+def lambda_via_path_cover(graph: Graph) -> Labeling:
     """Optimal labeling of a diameter <= 2 graph through its complement's path cover.
 
     With r the minimum number of vertex-disjoint paths covering the
     complement, the span is n - 1 when r = 1 and n + r - 2 otherwise; the
     labeling walks the complement paths with one skipped label between paths,
-    so its span is the lambda number.
+    so its span is the lambda number. CapacityExceeded is raised where
+    ``path_cover_number`` refuses the complement.
     """
     n = graph.n
     if n == 0:
         raise ValueError("graph must have at least one vertex")
     if not diameter_at_most_two(graph):
         raise ValueError("path-cover method requires a graph of diameter at most 2")
-    cover = path_cover_number(graph.complement, deadline=deadline)
+    cover = path_cover_number(graph.complement)
     r = cover.count
     labels = [0] * n
     nxt = 0
@@ -581,7 +582,8 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     in ``methods_run`` when the bound meets the witness's span. A bound
     below it leaves a note, one above it (a sound bound above a valid
     labeling) raises InternalError.
-    When no method fits the limits the report is bounds-only with
+    ``budget_ms`` is checked once, before the path cover starts. A budget
+    spent by then, or a refusal, leaves the report bounds-only with
     ``exact=False``; refusals go to ``notes``, so CapacityExceeded is never
     raised.
     """
@@ -590,7 +592,6 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     if budget_ms is not None and budget_ms < 0:
         raise ValueError(f"budget_ms must be at least 0, got {budget_ms}")
     started = time.monotonic()
-    deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
     bounds = bound_ledger(g)  # checks the poset before anything else reads it
     prediction = predict_lambda(g)
     lower, upper = _bound_window(bounds)
@@ -604,11 +605,11 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
     elif method == "ledger":
         notes.append(f"ledger: bounds do not meet (lower {lower}, upper {upper})")
     if method == "auto" and not verify and not results and (
-            deadline is not None and time.monotonic() > deadline):
+            budget_ms is not None and time.monotonic() - started > budget_ms / 1000.0):
         notes.append("path-cover unavailable: time budget exhausted before the search")
     elif verify or method == "pathcover" or method == "auto" and not results:
         try:
-            witness = lambda_via_path_cover(build_power_graph(g), deadline=deadline)
+            witness = lambda_via_path_cover(build_power_graph(g))
         except CapacityExceeded as exc:
             notes.append(f"path-cover unavailable: {exc}")
         else:
@@ -640,7 +641,7 @@ def lambda_exact(g: FiniteGroup, *, method: str = "auto", verify: bool = False,
         labeling = witness or _poset_witness(g)
         if labeling is None:
             try:
-                labeling = lambda_via_path_cover(build_power_graph(g), deadline=deadline)
+                labeling = lambda_via_path_cover(build_power_graph(g))
             except CapacityExceeded as exc:
                 notes.append(f"witness unavailable: {exc}")
             else:

@@ -204,11 +204,11 @@ class EqualityCheck(NamedTuple):
 
 def check_lower_equality(g: FiniteGroup, lam: int) -> EqualityCheck:
     """Check: span == |G| exactly when the punctured complement is traceable."""
-    graph = build_power_graph(g)
+    graph = build_power_graph(g).complement
     # The identity (vertex 0) dominates, so it is isolated in the complement.
     punctured = graph.full_mask & ~1
     try:
-        path = _hamilton_path_on(graph.complement.adj, punctured)
+        path = _hamilton_path_on(graph.adj, punctured, graph._ordering)
     except CapacityExceeded as exc:
         return EqualityCheck(None, lam == g.order, None,
                              f"hamilton search inconclusive: {exc}")

@@ -46,7 +46,13 @@ class Graph:
     edge; the first bad (v, u) is the lowest u of row v that does not see v.
     Rows valid by construction (the power graph, once its poset is checked,
     a complement and ``from_edges``) skip the check through ``_trusted``.
+    ``_ordering``, when set, builds a cocomparability ordering of the graph
+    for the path cover; a power graph's ``_complement_ordering`` is its
+    complement's.
     """
+
+    _ordering = None
+    _complement_ordering = None
 
     def __init__(self, adj: tuple[int, ...]):
         self.adj = adj
@@ -110,7 +116,9 @@ class Graph:
         u is in row v iff u != v and v is not in row u, which is symmetric
         because this graph's rows are. So the check is not run again."""
         full = self.full_mask
-        return Graph._trusted(tuple(full & ~row & ~(1 << v) for v, row in enumerate(self.adj)))
+        graph = Graph._trusted(tuple(full & ~row & ~(1 << v) for v, row in enumerate(self.adj)))
+        graph._ordering = self._complement_ordering
+        return graph
 
     @classmethod
     def _trusted(cls, adj: tuple[int, ...]) -> Graph:

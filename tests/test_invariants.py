@@ -1,7 +1,6 @@
 """Clique, independence, Hamilton path, path cover and structural probes."""
 
 import inspect
-import re
 import time
 from itertools import combinations
 
@@ -206,14 +205,15 @@ def spider(legs):
 
 
 def test_hamilton_on_star_is_solved_through_twins():
-    # K1,29: the leaves are twins, so the quotient has 2 classes and 60 states
+    # K1,29: the double cover matches only 2 of the 30 vertices, so the
+    # certified lower bound 28 answers
     graph = Graph.from_edges(30, star(29))
     assert hamilton_path(graph) is None
 
 
 def test_hamilton_capacity_when_heuristic_fails():
-    # the constructed cover (28 paths) misses the lower bound 1, and the DP
-    # over 59 twin-free vertices would exceed 2^24 states
+    # the built covers (28 paths) miss the lower bound 1, and the exact
+    # search takes at most 10 of the 59 vertices
     with pytest.raises(CapacityExceeded):
         hamilton_path(spider(29))
 
@@ -270,10 +270,11 @@ def test_path_cover_capacity():
 
 
 def test_path_cover_refusal_bounds_are_sound(monkeypatch):
-    # a 13-vertex spider (cover 5, 2^13 states, refused) plus three K1,5
+    # a 13-vertex spider (cover 5, past the search, refused) plus three K1,5
     # (cover 4 each, solved): counting each small star as one path would
     # give an upper bound of 13 + 3 = 16 below the true cover 17
-    monkeypatch.setattr(invariants, "DEFAULT_DP_LIMIT", 10)
+    monkeypatch.setattr(invariants, "_cocomparability_cover",
+                        lambda adj, vertices, ordering: [[v] for v in vertices])
     edges = spider(6).edges() + star(5, 13) + star(5, 19) + star(5, 25)
     with pytest.raises(CapacityExceeded) as info:
         path_cover_number(Graph.from_edges(31, edges))
@@ -291,7 +292,7 @@ def bipartite_48():
 
 def test_path_cover_refusal_reports_the_certified_lower_bound():
     # the 48-vertex graph's constructed cover meets its bound 32, so the
-    # disjoint spider(29) is what the DP refuses; the refusal reports the
+    # disjoint spider(29) is what is refused; the refusal reports the
     # certified 32 + 1, not one per component
     edges = bipartite_48() + [(48 + u, 48 + v) for u, v in spider(29).edges()]
     with pytest.raises(CapacityExceeded) as info:
@@ -307,55 +308,65 @@ def test_path_cover_refusal_reports_the_constructed_upper_bound():
     assert (info.value.lower_bound, info.value.upper_bound) == (1, 28)
 
 
-def test_constructed_cover_settles_without_a_search():
-    # an expired deadline stops any DP, so these are answered
-    # by a constructed cover that meets the certified lower bound (Z48's
-    # complement: 17 isolated vertices and a Hamilton path of the rest)
-    expired = time.monotonic() - 1.0
+def test_constructed_cover_settles_without_a_search(monkeypatch):
+    # with no fallback, these are answered by a constructed cover that
+    # meets the certified lower bound (Z48's complement: 17 isolated
+    # vertices and a Hamilton path of the rest)
+    def refuse(*args):
+        raise AssertionError("the fallback ran where the constructed cover meets the bound")
+
+    monkeypatch.setattr(invariants, "_cocomparability_cover", refuse)
     z2z2z5 = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(5))
     for graph, count in ((complement(pg(make_cyclic(48))), 17 + 1),
                          (complement(pg(z2z2z5)), 3),
                          (Graph.from_edges(48, bipartite_48()), 32)):
-        cover = path_cover_number(graph, deadline=expired)
+        cover = path_cover_number(graph)
         assert cover.count == count
         assert_cover_valid(graph, cover)
 
 
-@pytest.mark.parametrize("order, states, window", [(384, "2^47.0", (130, 135)),
-                                                   (768, "2^61.1", (258, 264))],
-                         ids=["Z384", "Z768"])
-def test_cover_gap_goes_straight_to_the_dp(order, states, window):
+@pytest.mark.parametrize("order, count", [(384, 130), (768, 258)], ids=["Z384", "Z768"])
+def test_cover_gap_is_closed_by_the_cocomparability_cover(monkeypatch, order, count):
     # the constructed cover misses the certified lower bound on one
-    # component, and with no deadline the DP refuses at once; the window
-    # holds the closed-form cover (130 for Z384, 258 for Z768)
+    # component, and the cocomparability cover from the poset's linear
+    # extension meets it (the closed-form cover: 130 for Z384, 258 for Z768)
+    calls = []
+    fallback = invariants._cocomparability_cover
+
+    def counted(adj, vertices, ordering):
+        calls.append(len(vertices))
+        return fallback(adj, vertices, ordering)
+
+    monkeypatch.setattr(invariants, "_cocomparability_cover", counted)
     graph = complement(pg(make_cyclic(order)))
     started = time.monotonic()
-    with pytest.raises(CapacityExceeded, match=re.escape(f"needs {states} states")) as info:
-        path_cover_number(graph)
+    cover = path_cover_number(graph)
     assert time.monotonic() - started < 5.0
-    assert (info.value.lower_bound, info.value.upper_bound) == window
+    assert cover.count == count and len(calls) == 1
+    assert_cover_valid(graph, cover)
 
 
 LOOSE_TREE = [(0, 9), (1, 3), (2, 8), (3, 13), (4, 9), (5, 9), (6, 8), (7, 15), (8, 15),
               (9, 1), (10, 13), (11, 0), (12, 5), (13, 6), (14, 13)]
 
 
-def test_deadline_reaches_the_dp():
+def test_gap_past_the_search_limit_is_refused():
     # a 16-vertex tree (found by random search) with cover lower bound 4 and
-    # minimum cover 6: the constructed cover cannot meet the bound, so the
-    # DP (2^15.6 states, admitted) runs, and the deadline stops it
+    # minimum cover 6: no built cover can meet the bound, and the exact
+    # search takes at most 10 vertices, so a general graph's gap this large
+    # is refused with sound bounds
     graph = Graph.from_edges(16, LOOSE_TREE)
     assert invariants._cover_lower_bound(graph.adj, graph.full_mask)[0] == 4
-    assert path_cover_number(graph).count == 6
-    with pytest.raises(CapacityExceeded, match="path-cover DP"):
-        path_cover_number(graph, deadline=time.monotonic() - 1.0)
+    with pytest.raises(CapacityExceeded, match="exact search takes at most 10") as info:
+        path_cover_number(graph)
+    assert info.value.lower_bound == 4 and info.value.upper_bound >= 6
 
 
 def test_hamilton_is_settled_by_the_lower_bound():
-    # lower bound 4 proves there is no Hamilton path, so neither the cover
-    # construction nor the DP runs, and an expired deadline is never checked
+    # lower bound 4 proves there is no Hamilton path, so neither a cover
+    # nor the search runs, and the 16 vertices are not refused
     graph = Graph.from_edges(16, LOOSE_TREE)
-    assert hamilton_path(graph, deadline=time.monotonic() - 1) is None
+    assert hamilton_path(graph) is None
 
 
 def test_negative_dp_limit_is_rejected():
@@ -370,8 +381,8 @@ def test_negative_dp_limit_is_rejected():
 
 def test_no_public_function_takes_a_limit_keyword():
     # the limits are module constants, and a cover gap always goes to the
-    # one DP
-    knobs = {"dp_limit", "use_heuristic", "span_budget", "limit", "max_order"}
+    # one fallback
+    knobs = {"dp_limit", "use_heuristic", "span_budget", "limit", "max_order", "deadline"}
     checked = 0
     for module in (cli, groups, invariants, labeling, oracle, powergraph):
         for name, value in vars(module).items():

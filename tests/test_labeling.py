@@ -674,6 +674,43 @@ def test_relabelled_family_group_gets_a_valid_witness(family, order):
     assert validate_l21(pg(g), report.labeling).ok
 
 
+# Cyclic groups whose constructed cover misses the certified lower bound on a
+# component, with their spans: the cocomparability cover closes each gap.
+FORMER_GAPS = {144: 196, 280: 396, 384: 512, 432: 592, 462: 620, 495: 740, 525: 780,
+               560: 780, 576: 772, 585: 888, 588: 768, 693: 1100, 700: 1020, 756: 972,
+               768: 1024, 770: 1105, 810: 1080, 858: 1224, 864: 1168, 910: 1320}
+
+
+def test_cyclic_groups_to_order_1000_are_exact():
+    for n in range(2, 1001):
+        report = lambda_exact(make_cyclic(n))
+        assert report.exact, (n, report.notes)
+        assert report.value == FORMER_GAPS.get(n, report.value), n
+
+
+def test_former_cover_gaps_are_certified():
+    for n, span in FORMER_GAPS.items():
+        report = lambda_exact(make_cyclic(n), verify=True)
+        assert report.exact and report.value == span, n
+        assert "certificate" in report.methods_run and not report.notes, n
+
+
+def test_relabelled_corpus_groups_are_exact():
+    # rows under five seeded shuffles of the indices: the poset, its linear
+    # extension and the power graph come from the power walk, not the layout
+    corpus = [g for _, g in builtin_corpus(100) if g.order > 20]
+    runs = 0
+    for seed in range(5):
+        for g in corpus:
+            shuffle = [0] + random.Random(1000 * seed + g.order).sample(range(1, g.order),
+                                                                      g.order - 1)
+            h = _build(oracles.relabelled_rows(g._generators, shuffle), g.descriptor)
+            report = lambda_exact(h)
+            assert report.exact, (seed, g.descriptor.name, report.notes)
+            runs += 1
+    assert runs == 1070
+
+
 @pytest.mark.parametrize("n, span", [(30, 40), (36, 52), (40, 64), (42, 60), (44, 80), (45, 72)])
 def test_cyclic_spans_settled_by_the_path_cover(n, span):
     # each value meets the clique lower bound, so the validated witness certifies it
@@ -716,9 +753,14 @@ def test_verification_error_type_exists():
 
 
 def test_lambda_exact_never_raises_capacity(monkeypatch):
-    # Every solver and witness refusal is caught: with no DP and no time
-    # left, each method and verify setting still ends in a report.
-    monkeypatch.setattr(invariants, "DEFAULT_DP_LIMIT", 0)
+    # Every solver and witness refusal is caught: with no cover but the
+    # singletons built and no time left, each method and verify setting
+    # still ends in a report.
+    def singletons(adj, vertices, *rest):
+        return [[v] for v in vertices]
+
+    monkeypatch.setattr(invariants, "_constructed_cover", singletons)
+    monkeypatch.setattr(invariants, "_cocomparability_cover", singletons)
     groups = [g for _, g in builtin_corpus(10)]
     groups += [build_group(parse_group_spec(s)) for s in ("D64", "Z2x" * 5 + "Z2", "Z72")]
     for g in groups:
@@ -748,11 +790,11 @@ def test_negative_budget_is_rejected_before_any_work(monkeypatch):
 
 def test_z72_is_exact_without_a_search(monkeypatch):
     # Z72 once took a 2^22.9-state DP with no budget; its constructed cover
-    # meets the certified lower bound, so the DP does not run
+    # meets the certified lower bound, so no fallback runs
     def refuse(*args, **kwargs):
         raise AssertionError("a path-cover search ran on Z72")
 
-    monkeypatch.setattr(invariants, "_quotient_cover", refuse)
+    monkeypatch.setattr(invariants, "_cocomparability_cover", refuse)
     report = lambda_exact(make_cyclic(72))
     assert report.exact and report.value == 100
     assert validate_l21(pg(make_cyclic(72)), report.labeling).ok

@@ -59,7 +59,12 @@ from lambda_power.groups import (
     from_permutations,
 )
 from lambda_power import invariants
-from lambda_power.invariants import _cover_lower_bound, _hamilton_path_on, _sandwich
+from lambda_power.invariants import (
+    _cocomparability_cover,
+    _cover_lower_bound,
+    _hamilton_path_on,
+    _sandwich,
+)
 from lambda_power.powergraph import bits
 
 
@@ -465,7 +470,8 @@ def singletons(adj, vertices, matching, target):
 
 
 def searches_only():
-    """Patch out the constructed cover, so the DP answers every gap."""
+    """Patch out the constructed cover, so the fallback and the search
+    answer every gap."""
     return mock.patch.object(invariants, "_constructed_cover", singletons)
 
 
@@ -541,11 +547,52 @@ def test_constructed_cover_answers_the_corpus_without_a_search():
     def refuse(*args, **kwargs):
         raise AssertionError("a search ran where the constructed cover meets the bound")
 
-    with mock.patch.object(invariants, "_quotient_cover", refuse):
+    with mock.patch.object(invariants, "_cocomparability_cover", refuse):
         for spec, group in builtin_corpus(48):
             target = complement(build_power_graph(group))
             cover = path_cover_number(target)
             assert sorted(v for path in cover.paths for v in path) == list(range(target.n)), spec
+
+
+def test_cocomparability_cover_meets_the_lower_bound_on_the_corpus():
+    # with the constructed cover patched out, the fallback alone meets the
+    # certified lower bound on every complement component to order 100
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact search ran where the fallback meets the bound")
+
+    checked = 0
+    with searches_only(), mock.patch.object(invariants, "_searched_cover", refuse):
+        for spec, group in builtin_corpus(100):
+            target = complement(build_power_graph(group))
+            cover = path_cover_number(target)
+            assert sorted(v for path in cover.paths for v in path) == list(range(target.n)), spec
+            checked += 1
+    assert checked == 256
+
+
+@st.composite
+def cocomparability_graphs(draw, max_n=9):
+    """The incomparability graph of a random order on at most 9 points, with
+    the points on shuffled vertices, and a linear extension of the order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    below = [0] * n  # i < j only for i below j, so 0, 1, ... is a linear extension
+    for j in range(n):
+        for i in range(j):
+            if draw(st.booleans()):
+                below[j] |= below[i] | 1 << i
+    vertex = draw(st.permutations(range(n)))
+    edges = [(vertex[i], vertex[j]) for j in range(n) for i in range(j) if not below[j] >> i & 1]
+    return Graph.from_edges(n, edges), list(vertex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cocomparability_graphs())
+def test_cocomparability_cover_is_minimum_given_a_linear_extension(case):
+    graph, extension = case
+    paths = _cocomparability_cover(graph.adj, list(range(graph.n)), extension)
+    assert sorted(v for path in paths for v in path) == list(range(graph.n))
+    assert all(graph.adjacent(a, b) for path in paths for a, b in zip(path, path[1:]))
+    assert len(paths) == brute_path_cover_count(graph)
 
 
 def test_cover_lower_bound_is_exact_on_the_corpus():
